@@ -36,8 +36,8 @@ func vrtStates(e *Ecosystem) []bool {
 	var out []bool
 	for _, dom := range e.Mem.Domains {
 		for _, dimm := range dom.DIMMs {
-			for _, c := range dimm.Weak {
-				out = append(out, c.LowState)
+			for i := range dimm.Weak {
+				out = append(out, dimm.LowState(i))
 			}
 		}
 	}

@@ -25,8 +25,9 @@ import (
 // Readers refuse any other version: the wire form mirrors internal
 // simulator state, so a silent cross-version read would corrupt
 // results instead of failing loudly. Bump it whenever serialized
-// state changes shape or meaning.
-const SnapshotFormatVersion = 1
+// state changes shape or meaning. Version 2 moved the VRT telegraph
+// state out of the weak cells into per-DIMM state bits (VRTState).
+const SnapshotFormatVersion = 2
 
 // optionsState is Options minus the log writer (an io.Writer has no
 // wire form; restored ecosystems get their writer from
@@ -58,6 +59,10 @@ type snapshotState struct {
 	MachineStream uint64
 
 	Mem *dram.MemorySystem
+	// VRTState carries each DIMM's telegraph state bits (domain then
+	// DIMM order); Mem's weak cells carry only the fabricated,
+	// immutable population.
+	VRTState [][]uint64
 
 	Health healthlog.DaemonState
 	Stress stresslog.DaemonState
@@ -106,6 +111,7 @@ func (s *Snapshot) Save(w io.Writer) error {
 		StressedHours: e.Machine.Chip.StressedHours(),
 		MachineStream: e.Machine.StreamState(),
 		Mem:           e.Mem,
+		VRTState:      e.Mem.VRTState(),
 		Health:        e.Health.ExportState(),
 		Stress:        e.Stress.ExportState(),
 		Model:         *e.Model,
@@ -165,6 +171,9 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	st.Chip.SetStressedHours(st.StressedHours)
 	machine := cpu.RestoreMachine(opts.Part, st.Chip, st.MachineStream)
 	st.Mem.Reindex()
+	if err := st.Mem.SetVRTState(st.VRTState); err != nil {
+		return nil, fmt.Errorf("core: restoring DRAM state: %w", err)
+	}
 	health := healthlog.NewFromState(st.Health, clock, nil)
 	refresh := power.DRAMRefreshModel{DeviceGb: opts.Mem.DeviceGb, TotalMemW: 12}
 	stressd, err := stresslog.NewFromState(st.Stress, clock, machine, st.Mem, health, refresh)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"uniserver/internal/vfr"
@@ -37,6 +38,21 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 	loaded, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The telegraph states travel beside the population since format
+	// 2; every DIMM's bits must come back exactly.
+	wantVRT, gotVRT := snap.proto.Mem.VRTState(), loaded.proto.Mem.VRTState()
+	if !reflect.DeepEqual(wantVRT, gotVRT) {
+		t.Fatal("VRT state bits diverged across Save/LoadSnapshot")
+	}
+	lowCells := 0
+	for _, bits := range wantVRT {
+		for _, w := range bits {
+			lowCells += popcount(w)
+		}
+	}
+	if lowCells == 0 {
+		t.Fatal("no VRT cell sits in its low state; the bit comparison proves too little")
 	}
 
 	var logA, logB bytes.Buffer
@@ -92,6 +108,70 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 	if a.Table().Len() != b.Table().Len() {
 		t.Fatalf("EOP tables diverged: %d vs %d components", a.Table().Len(), b.Table().Len())
 	}
+}
+
+func popcount(w uint64) int {
+	n := 0
+	for ; w != 0; w &= w - 1 {
+		n++
+	}
+	return n
+}
+
+// TestLoadSnapshotValidatesVRTState: state bits from the wire must
+// match the population they describe, or the load fails by name
+// instead of restoring a silently wrong memory system.
+func TestLoadSnapshotValidatesVRTState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization is slow; skipping in -short")
+	}
+	eco := characterized(t, 23)
+	snap, err := eco.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(st *snapshotState){
+		"missing DIMM": func(st *snapshotState) { st.VRTState = st.VRTState[1:] },
+		"short bitset": func(st *snapshotState) { st.VRTState[0] = st.VRTState[0][1:] },
+		"stable cell":  func(st *snapshotState) { st.VRTState[0][0] |= stableBit(st) },
+	} {
+		dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
+		var version int
+		var st snapshotState
+		if err := dec.Decode(&version); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		tamper(&st)
+		var out bytes.Buffer
+		enc := gob.NewEncoder(&out)
+		if err := enc.Encode(version); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(&out); err == nil || !strings.Contains(err.Error(), "VRT state") {
+			t.Fatalf("%s: got %v, want a VRT state refusal", name, err)
+		}
+	}
+}
+
+// stableBit returns the state bit of the first non-VRT cell among the
+// first DIMM's first 64 cells.
+func stableBit(st *snapshotState) uint64 {
+	for i, c := range st.Mem.Domains[0].DIMMs[0].Weak[:64] {
+		if c.AltRetentionSec == 0 {
+			return 1 << uint(i)
+		}
+	}
+	panic("no stable cell among the first 64")
 }
 
 // TestLoadSnapshotRefusesMismatchedVersion pins the version gate.

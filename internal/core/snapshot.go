@@ -9,7 +9,7 @@ import (
 	"uniserver/internal/thermal"
 )
 
-// Snapshot is a deep, alias-free copy of a characterized ecosystem:
+// Snapshot is an independent copy of a characterized ecosystem:
 // the CPU and silicon state (per-core margins, aging drift), the DRAM
 // weak-cell population with VRT telegraph states, the published EOP
 // table, the StressLog history and virus archive, the HealthLog's
@@ -23,8 +23,10 @@ import (
 // PreDeployment once per distinct (seed, part, memory) configuration,
 // Snapshot the result, and Restore a fresh ecosystem per consumer
 // instead of re-running the multi-second campaign. Restores are fully
-// independent of each other and of the snapshot source: no mutable
-// state is shared, so restored ecosystems can be stepped concurrently.
+// independent of each other and of the snapshot source: the only state
+// they share is immutable (the fabricated DRAM weak-cell populations
+// and the hypervisor object inventory), so restored ecosystems can be
+// stepped concurrently.
 //
 // Take the snapshot when the thermal state is re-derivable from
 // ambient: after PreDeployment and before the first runtime window,
@@ -41,7 +43,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures the ecosystem's current state. The capture is
-// itself a deep copy, so the live ecosystem can keep running (or be
+// itself an independent copy, so the live ecosystem can keep running (or be
 // discarded) without disturbing later Restores. It returns an error
 // when runtime windows have run and the ecosystem is not on an epoch
 // boundary: Restore re-derives the thermal nodes from ambient, which
@@ -75,8 +77,8 @@ type RestoreOptions struct {
 }
 
 // Restore materializes an independent ecosystem from the snapshot.
-// Every restore is a fresh deep copy: restores never share mutable
-// state with each other or with the snapshot.
+// Every restore is a fresh copy: restores never share mutable state
+// with each other or with the snapshot.
 func (s *Snapshot) Restore(opts RestoreOptions) (*Ecosystem, error) {
 	c, err := s.proto.clone(opts.HealthLogOut)
 	if err != nil {
@@ -125,22 +127,28 @@ func (e *Ecosystem) Reseed(seed uint64) error {
 	return nil
 }
 
-// clone deep-copies the ecosystem, directing future health-log lines
-// to out. The ownership rules (see DESIGN.md "Snapshot ownership"):
+// clone copies the ecosystem, directing future health-log lines to
+// out. The ownership rules (see DESIGN.md "Snapshot ownership"):
 //
 //   - Deep-copied: the rng stream positions and the clock; the machine
-//     (silicon margins, aging, measurement stream); the memory system
-//     (weak cells, VRT states, refresh intervals); the HealthLog's
-//     retained history and counters; the StressLog's schedule,
-//     history and virus archive; the hypervisor (objects, guests,
-//     pins, placements, isolation, counters); the predictor model and
-//     the published EOP table.
+//     (silicon margins, aging, measurement stream); the memory system's
+//     domains, DIMMs, refresh intervals and VRT state bits; the
+//     HealthLog's retained history and counters; the StressLog's
+//     schedule, history and virus archive; the hypervisor (guests,
+//     pins, placements, isolation, counters, category profiles); the
+//     predictor model and the published EOP table.
 //   - Re-derived, exactly as New would: the HealthLog→StressLog
 //     trigger wiring, the advisor (rebound to the cloned model and
 //     table), the per-window scratch (component names, DRAM hit map,
 //     core resolver), and — in Restore — the thermal nodes.
-//   - Shared: nothing mutable. The only aliases the clone keeps are
-//     immutable values (strings, specs, model parameters by value).
+//   - Shared, immutable: each DIMM's fabricated weak-cell population
+//     and VRT index, and the hypervisor's object inventory. Neither is
+//     ever written in place after it is built: weak cells are only
+//     appended (dram.DIMM.Grow) through cap-limited views that
+//     reallocate on their first append, and protection labels change
+//     only by copying the inventory (hypervisor.ObjectMap.Protect). The
+//     other aliases are immutable values (strings, specs, model
+//     parameters by value).
 func (e *Ecosystem) clone(out io.Writer) (*Ecosystem, error) {
 	opts := e.opts
 	opts.HealthLogOut = out

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"uniserver/internal/rng"
@@ -108,11 +109,10 @@ type WeakCell struct {
 	// RetentionSec and this shorter retention. VRT is why a
 	// characterization pass can miss a cell that later fails in the
 	// field (Liu et al. [32]), and why the StressLog derates the
-	// longest observed error-free interval before publishing it.
+	// longest observed error-free interval before publishing it. Which
+	// of the two states the cell currently sits in is per-DIMM runtime
+	// state (DIMM.LowState), not part of the fabricated cell.
 	AltRetentionSec float64
-	// LowState reports whether a VRT cell currently sits in its
-	// short-retention state.
-	LowState bool
 }
 
 // VRT population constants, per the retention studies the paper cites:
@@ -137,14 +137,52 @@ type DIMM struct {
 	DeviceGb int
 	// Weak holds every cell whose retention falls below the simulation
 	// horizon; all other cells never fail at the intervals simulated.
+	// The population is immutable once drawn: cells are only ever
+	// appended (Grow), never rewritten, so clones, restore templates
+	// and stamped DIMMs share it by reference. Every shared view is
+	// cap-limited, which makes a sharer's first Grow append reallocate
+	// instead of writing storage a sibling can see.
 	Weak []WeakCell
 
 	// vrt indexes the VRT cells within Weak, in cell order, so the
 	// per-window telegraph toggle touches only them instead of scanning
 	// the whole weak population. Filled by NewDIMM; a literal-built
-	// DIMM (nil vrt) falls back to the full scan.
+	// DIMM (nil vrt) falls back to the full scan. Shared like Weak.
 	vrt []int
+
+	// low is the DIMM's own VRT telegraph state, a bitset indexed by
+	// cell: bit i set means Weak[i] currently sits in its
+	// short-retention state. It is the only per-cell state that changes
+	// after fabrication, and the only part of the population every
+	// clone copies.
+	low []uint64
 }
+
+// LowState reports whether weak cell i currently sits in its VRT
+// short-retention state (always false for non-VRT cells).
+func (d *DIMM) LowState(i int) bool {
+	return i>>6 < len(d.low) && d.low[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// flipLow toggles weak cell i's telegraph state. The bitset must
+// already cover i (sizeLow).
+func (d *DIMM) flipLow(i int) { d.low[i>>6] ^= 1 << (uint(i) & 63) }
+
+// sizeLow grows the state bitset to cover every weak cell; it only
+// does work for literal-built DIMMs and right after Grow appends.
+func (d *DIMM) sizeLow() {
+	if need := lowWords(len(d.Weak)); len(d.low) < need {
+		d.low = append(d.low, make([]uint64, need-len(d.low))...)
+	}
+}
+
+// lowWords is the state-bitset length covering n cells.
+func lowWords(n int) int { return (n + 63) >> 6 }
+
+// shared returns a cap-limited view of s: an append through the view
+// always reallocates, so the view can be handed to another owner
+// without either side's growth ever writing storage the other reads.
+func shared[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // WeakCellHorizon is the retention horizon below which cells are
 // tracked explicitly. Cells above it cannot fail at any interval the
@@ -159,7 +197,12 @@ func NewDIMM(capacityBytes uint64, deviceGb int, model RetentionModel, src *rng.
 	bits := capacityBytes * 8
 	pWeak := model.FailProb(WeakCellHorizon, model.RefTempC)
 	n := src.Binomial(clampInt(bits), pWeak)
-	d := &DIMM{CapacityBytes: capacityBytes, DeviceGb: deviceGb, Weak: make([]WeakCell, n)}
+	d := &DIMM{
+		CapacityBytes: capacityBytes,
+		DeviceGb:      deviceGb,
+		Weak:          make([]WeakCell, n),
+		low:           make([]uint64, lowWords(n)),
+	}
 	for i := range d.Weak {
 		cell := WeakCell{
 			Offset:       src.Uint64() % bits,
@@ -168,7 +211,9 @@ func NewDIMM(capacityBytes uint64, deviceGb int, model RetentionModel, src *rng.
 		}
 		if src.Bernoulli(VRTFraction) {
 			cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
-			cell.LowState = src.Bool()
+			if src.Bool() {
+				d.flipLow(i)
+			}
 			d.vrt = append(d.vrt, i)
 		}
 		d.Weak[i] = cell
@@ -186,21 +231,25 @@ func clampInt(v uint64) int {
 // Bits returns the DIMM capacity in bits.
 func (d *DIMM) Bits() uint64 { return d.CapacityBytes * 8 }
 
-// Clone returns a deep copy of the DIMM: the same fabricated weak-cell
-// population (including each VRT cell's current telegraph state) with
-// no shared storage, so the copy's future VRT toggles and pattern
-// tests leave the original untouched.
+// Clone returns an independent copy of the DIMM: it shares the
+// immutable weak-cell population and VRT index by cap-limited
+// reference and copies only the telegraph state bits, so the copy's
+// future VRT toggles, pattern tests and growth leave the original
+// untouched.
 func (d *DIMM) Clone() *DIMM {
 	out := *d
-	out.Weak = append([]WeakCell(nil), d.Weak...)
-	out.vrt = append([]int(nil), d.vrt...)
+	out.Weak = shared(d.Weak)
+	out.vrt = shared(d.vrt)
+	out.low = append([]uint64(nil), d.low...)
 	return &out
 }
 
 // Grow appends n freshly-activated weak cells to the DIMM, drawing
 // each exactly like fabrication does (position, retention from the
-// weak tail, polarity, VRT membership) and keeping the private VRT
-// index current. Field data says the weak-cell population is not
+// weak tail, polarity, VRT membership) and keeping the VRT index and
+// state bits current. Appends never write storage another DIMM
+// shares: shared populations are cap-limited views, so the first
+// append reallocates. Field data says the weak-cell population is not
 // static (Qureshi et al., AVATAR, DSN 2015: new weak cells keep
 // appearing at a roughly constant rate over a device's life); Grow is
 // the mechanism lifetime fast-forwards use to model that.
@@ -216,12 +265,18 @@ func (d *DIMM) Grow(n int, model RetentionModel, src *rng.Source) {
 			RetentionSec: model.sampleWeakTail(pWeak, src),
 			TrueCell:     src.Bool(),
 		}
+		i := len(d.Weak)
+		low := false
 		if src.Bernoulli(VRTFraction) {
 			cell.AltRetentionSec = cell.RetentionSec / VRTRetentionRatio
-			cell.LowState = src.Bool()
-			d.vrt = append(d.vrt, len(d.Weak))
+			low = src.Bool()
+			d.vrt = append(d.vrt, i)
 		}
 		d.Weak = append(d.Weak, cell)
+		d.sizeLow()
+		if low {
+			d.flipLow(i)
+		}
 	}
 }
 
@@ -332,8 +387,8 @@ func New(cfg Config, model RetentionModel, src *rng.Source) (*MemorySystem, erro
 	return ms, nil
 }
 
-// Clone returns a deep copy of the domain: its DIMMs (weak cells, VRT
-// state) and its current refresh setting.
+// Clone returns an independent copy of the domain: its DIMMs (see
+// DIMM.Clone) and its current refresh setting.
 func (dom *Domain) Clone() *Domain {
 	out := *dom
 	out.DIMMs = make([]*DIMM, len(dom.DIMMs))
@@ -343,11 +398,12 @@ func (dom *Domain) Clone() *Domain {
 	return &out
 }
 
-// Clone returns a deep copy of the memory system: every domain and
-// DIMM is duplicated (same order, same refresh intervals, same weak
-// cells in their current VRT states), so the copy can be relaxed,
-// tested and heated independently. Allocators bound to the original
-// are rebound with Allocator.CloneFor.
+// Clone returns an independent copy of the memory system: every domain
+// and DIMM is duplicated (same order, same refresh intervals, same
+// VRT states) around the shared immutable weak-cell populations, so
+// the copy can be relaxed, tested, heated and grown independently.
+// Allocators bound to the original are rebound with
+// Allocator.CloneFor.
 func (ms *MemorySystem) Clone() *MemorySystem {
 	out := &MemorySystem{Model: ms.Model, TempC: ms.TempC}
 	out.Domains = make([]*Domain, len(ms.Domains))
@@ -398,9 +454,9 @@ type PatternTestResult struct {
 
 // effectiveRetention returns the cell's retention at the system
 // temperature, honouring a VRT cell's current state.
-func (ms *MemorySystem) effectiveRetention(c WeakCell) float64 {
+func (ms *MemorySystem) effectiveRetention(c WeakCell, low bool) float64 {
 	r := c.RetentionSec
-	if c.AltRetentionSec > 0 && c.LowState {
+	if c.AltRetentionSec > 0 && low {
 		r = c.AltRetentionSec
 	}
 	return r * ms.Model.tempScale(ms.TempC)
@@ -420,17 +476,18 @@ func toggleVRT(dom *Domain, src *rng.Source) {
 // every downstream fingerprint — is the same on both paths.
 func toggleVRTWith(dom *Domain, p float64, src *rng.Source) {
 	for _, dimm := range dom.DIMMs {
+		dimm.sizeLow()
 		if dimm.vrt != nil {
 			for _, i := range dimm.vrt {
 				if src.Bernoulli(p) {
-					dimm.Weak[i].LowState = !dimm.Weak[i].LowState
+					dimm.flipLow(i)
 				}
 			}
 			continue
 		}
 		for i := range dimm.Weak {
 			if dimm.Weak[i].AltRetentionSec > 0 && src.Bernoulli(p) {
-				dimm.Weak[i].LowState = !dimm.Weak[i].LowState
+				dimm.flipLow(i)
 			}
 		}
 	}
@@ -459,22 +516,74 @@ func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 	toggleVRTWith(dom, CoarseToggleProb(windows), src)
 }
 
-// Reindex rebuilds every DIMM's private VRT index from its weak-cell
+// Reindex rebuilds every DIMM's VRT index from its weak-cell
 // population. Deserialized memory systems call it once after decoding:
 // the index is a pure derivation of the exported cells (the wire
 // format does not carry it), and without it the per-window telegraph
-// toggle would fall back to the full weak-cell scan.
+// toggle would fall back to the full weak-cell scan. Each index is
+// built in fresh storage, never over an index another DIMM may share.
 func (ms *MemorySystem) Reindex() {
 	for _, dom := range ms.Domains {
 		for _, dimm := range dom.DIMMs {
-			dimm.vrt = dimm.vrt[:0]
+			var idx []int
 			for i := range dimm.Weak {
 				if dimm.Weak[i].AltRetentionSec > 0 {
-					dimm.vrt = append(dimm.vrt, i)
+					idx = append(idx, i)
+				}
+			}
+			dimm.vrt = idx
+		}
+	}
+}
+
+// VRTState returns a copy of every DIMM's telegraph state bits, in
+// domain then DIMM order: the wire form of the only per-cell state
+// that changes after fabrication (the weak-cell populations travel as
+// exported fields).
+func (ms *MemorySystem) VRTState() [][]uint64 {
+	var out [][]uint64
+	for _, dom := range ms.Domains {
+		for _, dimm := range dom.DIMMs {
+			bits := make([]uint64, lowWords(len(dimm.Weak)))
+			copy(bits, dimm.low)
+			out = append(out, bits)
+		}
+	}
+	return out
+}
+
+// SetVRTState installs telegraph state bits read back from the wire
+// (VRTState's layout). It validates before installing anything: one
+// bitset per DIMM, each exactly covering its weak cells, with bits set
+// only on VRT cells — a stable cell has no short state to sit in.
+func (ms *MemorySystem) SetVRTState(state [][]uint64) error {
+	var dimms []*DIMM
+	for _, dom := range ms.Domains {
+		dimms = append(dimms, dom.DIMMs...)
+	}
+	if len(state) != len(dimms) {
+		return fmt.Errorf("dram: VRT state for %d DIMMs, memory system has %d", len(state), len(dimms))
+	}
+	for k, dimm := range dimms {
+		b := state[k]
+		if len(b) != lowWords(len(dimm.Weak)) {
+			return fmt.Errorf("dram: DIMM %d VRT state has %d words, want %d for %d weak cells",
+				k, len(b), lowWords(len(dimm.Weak)), len(dimm.Weak))
+		}
+		for w, word := range b {
+			for word != 0 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				if i >= len(dimm.Weak) || dimm.Weak[i].AltRetentionSec == 0 {
+					return fmt.Errorf("dram: DIMM %d VRT state sets bit %d, which is not a VRT cell", k, i)
 				}
 			}
 		}
 	}
+	for k, dimm := range dimms {
+		dimm.low = append([]uint64(nil), state[k]...)
+	}
+	return nil
 }
 
 // RunPatternTest writes a random test pattern over the whole domain,
@@ -492,11 +601,13 @@ func (ms *MemorySystem) RunPatternTest(dom *Domain, src *rng.Source) PatternTest
 	// it replaces a math.Pow per cell with one multiply, computing the
 	// exact same product effectiveRetention would.
 	scale := ms.Model.tempScale(ms.TempC)
+	// toggleVRT sized every DIMM's state bitset to its population.
 	for _, dimm := range dom.DIMMs {
+		low := dimm.low
 		for i := range dimm.Weak {
 			cell := &dimm.Weak[i]
 			r := cell.RetentionSec
-			if cell.AltRetentionSec > 0 && cell.LowState {
+			if cell.AltRetentionSec > 0 && low[i>>6]&(1<<(uint(i)&63)) != 0 {
 				r = cell.AltRetentionSec
 			}
 			if r*scale < interval && src.Bool() {

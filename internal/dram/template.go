@@ -6,20 +6,21 @@ import (
 	"time"
 )
 
-// FlatMemory is a compiled, pointer-free image of a MemorySystem: the
-// weak-cell and VRT-index populations of every DIMM concatenated into
-// two slabs, with per-DIMM extents recorded as index ranges. It is
-// built once per restore template (Flatten) and stamped into reusable
-// arena memory systems (StampInto) with two bulk copies instead of a
-// per-DIMM allocation walk. A FlatMemory is immutable after Flatten
-// and safe for concurrent StampInto calls from many workers.
+// FlatMemory is a compiled image of a MemorySystem for mass
+// restoration. The weak-cell populations and VRT indices are
+// immutable after fabrication, so the image holds them by cap-limited
+// reference and only the per-DIMM telegraph state bits are copied —
+// concatenated into one slab with per-DIMM extents. It is built once
+// per restore template (Flatten) and stamped into reusable arena
+// memory systems (StampInto) with one bulk copy of the state bits per
+// DIMM and no population copy at all. A FlatMemory is immutable after
+// Flatten and safe for concurrent StampInto calls from many workers.
 type FlatMemory struct {
 	model   RetentionModel
 	tempC   float64
 	domains []flatDomain
 	dimms   []flatDIMM
-	cells   []WeakCell // all DIMMs' Weak populations, concatenated
-	vrt     []int      // all DIMMs' VRT indices, concatenated
+	low     []uint64 // all DIMMs' initial VRT state bits, concatenated
 }
 
 type flatDomain struct {
@@ -30,21 +31,21 @@ type flatDomain struct {
 }
 
 type flatDIMM struct {
-	capacityBytes  uint64
-	deviceGb       int
-	weakLo, weakHi int // extent in FlatMemory.cells
-	vrtLo, vrtHi   int // extent in FlatMemory.vrt
+	capacityBytes uint64
+	deviceGb      int
+	weak          []WeakCell // shared, cap-limited
+	vrt           []int      // shared, cap-limited
+	lowLo, lowHi  int        // extent in FlatMemory.low
 }
 
-// Flatten compiles the memory system into its pointer-free template
-// image. The receiver must not be mutated concurrently.
+// Flatten compiles the memory system into its template image. The
+// receiver must not be mutated concurrently.
 func (ms *MemorySystem) Flatten() *FlatMemory {
-	var nDIMMs, nCells, nVRT int
+	var nDIMMs, nLow int
 	for _, dom := range ms.Domains {
 		nDIMMs += len(dom.DIMMs)
 		for _, d := range dom.DIMMs {
-			nCells += len(d.Weak)
-			nVRT += len(d.vrt)
+			nLow += lowWords(len(d.Weak))
 		}
 	}
 	f := &FlatMemory{
@@ -52,8 +53,7 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 		tempC:   ms.TempC,
 		domains: make([]flatDomain, 0, len(ms.Domains)),
 		dimms:   make([]flatDIMM, 0, nDIMMs),
-		cells:   make([]WeakCell, 0, nCells),
-		vrt:     make([]int, 0, nVRT),
+		low:     make([]uint64, 0, nLow),
 	}
 	for _, dom := range ms.Domains {
 		fd := flatDomain{
@@ -63,16 +63,17 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 			dimmLo:   len(f.dimms),
 		}
 		for _, d := range dom.DIMMs {
+			lo := len(f.low)
+			f.low = append(f.low, make([]uint64, lowWords(len(d.Weak)))...)
+			copy(f.low[lo:], d.low)
 			f.dimms = append(f.dimms, flatDIMM{
 				capacityBytes: d.CapacityBytes,
 				deviceGb:      d.DeviceGb,
-				weakLo:        len(f.cells),
-				weakHi:        len(f.cells) + len(d.Weak),
-				vrtLo:         len(f.vrt),
-				vrtHi:         len(f.vrt) + len(d.vrt),
+				weak:          shared(d.Weak),
+				vrt:           shared(d.vrt),
+				lowLo:         lo,
+				lowHi:         len(f.low),
 			})
-			f.cells = append(f.cells, d.Weak...)
-			f.vrt = append(f.vrt, d.vrt...)
 		}
 		fd.dimmHi = len(f.dimms)
 		f.domains = append(f.domains, fd)
@@ -81,7 +82,7 @@ func (ms *MemorySystem) Flatten() *FlatMemory {
 }
 
 // StampInto overwrites ms with the template image, reusing ms's
-// Domain and DIMM objects and their slice storage when the shape
+// Domain and DIMM objects and their state-bit storage when the shape
 // matches (it always does when an arena is re-stamped from templates
 // of the same spec). Domain pointer identity is preserved across
 // same-shape stamps, which lets an Allocator stamped alongside keep
@@ -102,8 +103,9 @@ func (f *FlatMemory) StampInto(ms *MemorySystem) {
 			d := dom.DIMMs[i]
 			d.CapacityBytes = fdim.capacityBytes
 			d.DeviceGb = fdim.deviceGb
-			d.Weak = append(d.Weak[:0], f.cells[fdim.weakLo:fdim.weakHi]...)
-			d.vrt = append(d.vrt[:0], f.vrt[fdim.vrtLo:fdim.vrtHi]...)
+			d.Weak = fdim.weak
+			d.vrt = fdim.vrt
+			d.low = append(d.low[:0], f.low[fdim.lowLo:fdim.lowHi]...)
 		}
 	}
 }
@@ -142,8 +144,9 @@ func (f *FlatMemory) rebuild(ms *MemorySystem) {
 			dom.DIMMs[i] = &DIMM{
 				CapacityBytes: fdim.capacityBytes,
 				DeviceGb:      fdim.deviceGb,
-				Weak:          append([]WeakCell(nil), f.cells[fdim.weakLo:fdim.weakHi]...),
-				vrt:           append([]int(nil), f.vrt[fdim.vrtLo:fdim.vrtHi]...),
+				Weak:          fdim.weak,
+				vrt:           fdim.vrt,
+				low:           append([]uint64(nil), f.low[fdim.lowLo:fdim.lowHi]...),
 			}
 		}
 		ms.Domains[di] = dom

@@ -29,15 +29,14 @@ func TestVRTPopulationExists(t *testing.T) {
 func TestEffectiveRetentionHonoursState(t *testing.T) {
 	ms := newTestSystem(t, 93)
 	cell := WeakCell{RetentionSec: 6, AltRetentionSec: 4}
-	long := ms.effectiveRetention(cell)
-	cell.LowState = true
-	short := ms.effectiveRetention(cell)
+	long := ms.effectiveRetention(cell, false)
+	short := ms.effectiveRetention(cell, true)
 	if short >= long {
 		t.Fatalf("low state retention %v not below long %v", short, long)
 	}
 	stable := WeakCell{RetentionSec: 6}
-	stable.LowState = true // meaningless for stable cells
-	if ms.effectiveRetention(stable) != long*(6.0/6.0) {
+	// The low flag is meaningless for stable cells.
+	if ms.effectiveRetention(stable, true) != long*(6.0/6.0) {
 		t.Fatal("stable cell affected by state flag")
 	}
 }
@@ -45,10 +44,11 @@ func TestEffectiveRetentionHonoursState(t *testing.T) {
 func TestToggleVRTOnlyTouchesVRTCells(t *testing.T) {
 	ms := newTestSystem(t, 95)
 	dom := ms.RelaxedDomains()[0]
+	dimm := dom.DIMMs[0]
 	before := make(map[int]bool)
-	for i, c := range dom.DIMMs[0].Weak {
+	for i, c := range dimm.Weak {
 		if c.AltRetentionSec == 0 {
-			before[i] = c.LowState
+			before[i] = dimm.LowState(i)
 		}
 	}
 	src := rng.New(1)
@@ -56,7 +56,7 @@ func TestToggleVRTOnlyTouchesVRTCells(t *testing.T) {
 		toggleVRT(dom, src)
 	}
 	for i, want := range before {
-		if dom.DIMMs[0].Weak[i].LowState != want {
+		if dimm.LowState(i) != want {
 			t.Fatal("stable cell state mutated")
 		}
 	}
@@ -80,7 +80,6 @@ func TestVRTJustifiesDerate(t *testing.T) {
 			RetentionSec:    3,
 			TrueCell:        true,
 			AltRetentionSec: 2,
-			LowState:        false,
 		}},
 	}
 	dom := &Domain{Name: "planted", DIMMs: []*DIMM{dimm}, Refresh: vfr.NominalRefresh}
@@ -102,7 +101,7 @@ func TestVRTJustifiesDerate(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reset the cell to the state characterization left it in.
-		dimm.Weak[0].LowState = false
+		dimm.low = nil
 		total := 0
 		src := rng.New(seed)
 		for w := 0; w < windows; w++ {
@@ -170,11 +169,10 @@ func TestToggleVRTCoarseTouchesOnlyVRT(t *testing.T) {
 	ToggleVRTCoarse(b, 90*24*60, rng.New(3))
 	for di, dimm := range a.DIMMs {
 		for i, cell := range dimm.Weak {
-			other := b.DIMMs[di].Weak[i]
-			if cell.LowState != other.LowState {
+			if dimm.LowState(i) != b.DIMMs[di].LowState(i) {
 				t.Fatalf("indexed and fallback coarse toggles diverged at cell %d", i)
 			}
-			if cell.AltRetentionSec == 0 && cell.LowState {
+			if cell.AltRetentionSec == 0 && dimm.LowState(i) {
 				t.Fatalf("coarse toggle flipped a non-VRT cell %d", i)
 			}
 		}
@@ -203,7 +201,7 @@ func TestReindexRebuildsVRTIndex(t *testing.T) {
 		ToggleVRTCoarse(ref.Domains[di], 1440, rng.New(5))
 		for dj, dimm := range dom.DIMMs {
 			for i := range dimm.Weak {
-				if dimm.Weak[i].LowState != ref.Domains[di].DIMMs[dj].Weak[i].LowState {
+				if dimm.LowState(i) != ref.Domains[di].DIMMs[dj].LowState(i) {
 					t.Fatalf("reindexed toggle diverged at domain %d dimm %d cell %d", di, dj, i)
 				}
 			}

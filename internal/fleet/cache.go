@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"uniserver/internal/core"
+	"uniserver/internal/cpu"
+	"uniserver/internal/dram"
 	"uniserver/internal/rng"
 )
 
@@ -245,4 +248,64 @@ func ArchetypeSeed(seed uint64, bin string) uint64 {
 // captured only when a health log was requested.
 func charactKey(seed uint64, spec NodeSpec, wantLog bool) string {
 	return fmt.Sprintf("seed=%d log=%t %s", seed, wantLog, ArchetypeBin(spec))
+}
+
+// archetypeKeys is one worker's memo of resolved archetype identities
+// for one Run. Resolving a bin renders ArchetypeBin twice and hashes a
+// labeled split (ArchetypeSeed, charactKey); in a population-scale
+// fleet every node of a bin would re-derive the same three values. The
+// memo is worker-owned, so lookups take no lock, and it dies with the
+// Run. Every entry is computed by the fmt path itself, so a lookup
+// returns exactly what that path returns for the spec.
+type archetypeKeys map[binIdentity]archetypeKey
+
+// archetypeKey is a resolved bin: its characterization seed and the
+// cache key charactKey scopes by that seed.
+type archetypeKey struct {
+	seed uint64
+	key  string
+}
+
+// binIdentity is the comparable form of what an archetype key depends
+// on: the spec fields ArchetypeBin renders, the fleet seed and the log
+// flag. Floats are held by bit pattern and zeroed in the embedded
+// structs, because == on float64 merges -0 with 0 (which %v renders
+// differently) and never matches a NaN. Bit equality is at least as
+// strict as equal renderings, so two specs share an entry only when
+// the fmt path would give them the same key.
+type binIdentity struct {
+	part      cpu.PartSpec
+	mem       dram.Config
+	floats    [12]uint64
+	fleetSeed uint64
+	wantLog   bool
+}
+
+func identityOf(fleetSeed uint64, spec NodeSpec, wantLog bool) binIdentity {
+	id := binIdentity{part: spec.Part, mem: spec.Mem, fleetSeed: fleetSeed, wantLog: wantLog}
+	p := &id.part
+	for i, f := range [...]*float64{
+		&p.Proc.VthMV, &p.Proc.SlopeMVPerGHz, &p.Proc.D2DSigmaMV, &p.Proc.WIDSigmaMV,
+		&p.Proc.DroopPctTypical, &p.Proc.DroopPctWorst,
+		&p.DroopMinMV, &p.DroopMaxMV, &p.ECCOnsetMeanMV, &p.ECCOnsetSigmaMV, &p.RunNoiseMV,
+		&id.mem.TempC,
+	} {
+		id.floats[i] = math.Float64bits(*f)
+		*f = 0
+	}
+	return id
+}
+
+// resolve returns the archetype seed and characterization cache key of
+// spec's bin, exactly as ArchetypeSeed(fleetSeed, ArchetypeBin(spec))
+// and charactKey give them, computing each distinct bin once.
+func (m archetypeKeys) resolve(fleetSeed uint64, spec NodeSpec, wantLog bool) archetypeKey {
+	id := identityOf(fleetSeed, spec, wantLog)
+	if k, ok := m[id]; ok {
+		return k
+	}
+	seed := ArchetypeSeed(fleetSeed, ArchetypeBin(spec))
+	k := archetypeKey{seed: seed, key: charactKey(seed, spec, wantLog)}
+	m[id] = k
+	return k
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"uniserver/internal/core"
@@ -155,5 +157,117 @@ func TestArchetypeBinFieldAudit(t *testing.T) {
 		if !tc.splits && got != baseBin {
 			t.Errorf("%s: deployment-phase field split the bin:\n%s\nvs\n%s", tc.field, baseBin, got)
 		}
+	}
+}
+
+// TestArchetypeKeysMatchFmtPath pins the per-worker bin memo to the
+// fmt path it short-cuts: for specs that differ only by -0 versus 0,
+// or that carry a NaN, in any float of PartSpec or dram.Config, a
+// lookup — first or repeated — returns exactly the seed and cache key
+// ArchetypeSeed and charactKey give, and repeated lookups never grow
+// the memo. The float fields are found by reflection, so a float added
+// to either struct and missed by identityOf fails here.
+func TestArchetypeKeysMatchFmtPath(t *testing.T) {
+	t.Parallel()
+	const fleetSeed = 7
+	base := DefaultConfig(2).BaseSpec()
+	base.Part = cpu.PartI7_3970X()
+
+	var specs []NodeSpec
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Float64:
+			old := v.Float()
+			for _, f := range [...]float64{0, math.Copysign(0, -1), math.NaN()} {
+				v.SetFloat(f)
+				specs = append(specs, base)
+			}
+			v.SetFloat(old)
+		}
+	}
+	spec := reflect.ValueOf(&base).Elem()
+	walk(spec.FieldByName("Part"))
+	walk(spec.FieldByName("Mem"))
+	if got, want := len(specs)/3, len(binIdentity{}.floats); got != want {
+		t.Fatalf("PartSpec and dram.Config carry %d floats, identityOf lists %d", got, want)
+	}
+	specs = append(specs, base, NodeSpec{})
+
+	keys := archetypeKeys{}
+	check := func(pass int) {
+		for i, s := range specs {
+			for _, wantLog := range []bool{false, true} {
+				seed := ArchetypeSeed(fleetSeed, ArchetypeBin(s))
+				want := archetypeKey{seed: seed, key: charactKey(seed, s, wantLog)}
+				if got := keys.resolve(fleetSeed, s, wantLog); got != want {
+					t.Fatalf("pass %d spec %d log=%t: memo gave %+v, fmt path %+v", pass, i, wantLog, got, want)
+				}
+			}
+		}
+	}
+	check(0)
+	entries := len(keys)
+	check(1)
+	if len(keys) != entries {
+		t.Fatalf("repeated lookups grew the memo from %d to %d entries", entries, len(keys))
+	}
+}
+
+// TestFleetArchetypeMoreBinsThanWorkers runs a Node hook with five bins
+// on two workers, so every worker's key memo holds several bins: each
+// bin characterizes exactly once, under the key the fmt path gives it,
+// and the fingerprint does not depend on the worker count.
+func TestFleetArchetypeMoreBinsThanWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet characterization is slow; skipping in -short")
+	}
+	t.Parallel()
+	const bins, nodes = 5, 10
+	run := func(workers int) (Summary, *CharactCache, Config) {
+		cfg := smallConfig(nodes, workers)
+		cfg.Windows = 8
+		cfg.Archetypes = true
+		cfg.Charact = NewCharactCache()
+		base := cfg.BaseSpec()
+		parts := []cpu.PartSpec{cpu.PartI5_4200U(), cpu.PartI7_3970X()}
+		cfg.Node = func(i int) NodeSpec {
+			spec := base
+			b := i % bins
+			spec.Part = parts[b%len(parts)]
+			spec.Mem.TempC += float64(b)
+			return spec
+		}
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, cfg.Charact, cfg
+	}
+	sum, cache, cfg := run(2)
+	if st := cache.Stats(); st.Misses != bins || st.Hits != nodes-bins {
+		t.Fatalf("want %d misses / %d hits, got %d / %d", bins, nodes-bins, st.Misses, st.Hits)
+	}
+	want := map[string]bool{}
+	for i := 0; i < bins; i++ {
+		spec := cfg.Node(i)
+		want[charactKey(ArchetypeSeed(cfg.Seed, ArchetypeBin(spec)), spec, false)] = true
+	}
+	cache.entries.Range(func(k, _ any) bool {
+		if !want[k.(string)] {
+			t.Errorf("cache holds key %q, which the fmt path never gives", k)
+		}
+		delete(want, k.(string))
+		return true
+	})
+	if len(want) != 0 {
+		t.Fatalf("bins never characterized under their fmt-path keys: %v", want)
+	}
+	if ref, _, _ := run(1); ref.Fingerprint() != sum.Fingerprint() {
+		t.Fatal("fingerprint depends on the worker count")
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -32,27 +34,57 @@ const charactDirVersionFile = "VERSION"
 // attaching to a directory stamped with any other version is refused
 // — the wire form mirrors simulator internals, so a cross-version
 // read would corrupt results rather than merely miss. Point different
-// builds at different directories (or clear the stale one).
+// builds at different directories (or clear the stale one). Any number
+// of caches, in this or other processes, may attach a fresh directory
+// at once: the stamp is published atomically (publishStamp), so every
+// attacher reads either no stamp or a complete one.
 func (c *CharactCache) AttachDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleet: creating characterization cache dir: %w", err)
 	}
 	vpath := filepath.Join(dir, charactDirVersionFile)
 	want := strconv.Itoa(core.SnapshotFormatVersion)
-	if data, err := os.ReadFile(vpath); err == nil {
-		if got := strings.TrimSpace(string(data)); got != want {
-			return fmt.Errorf("fleet: characterization cache dir %s is version %s, this build writes version %s; refusing mismatched versions (clear the dir or use another)",
-				dir, got, want)
-		}
-	} else if os.IsNotExist(err) {
-		if err := os.WriteFile(vpath, []byte(want+"\n"), 0o644); err != nil {
-			return fmt.Errorf("fleet: stamping characterization cache dir: %w", err)
-		}
-	} else {
-		return fmt.Errorf("fleet: reading characterization cache version: %w", err)
+	data, err := os.ReadFile(vpath)
+	if os.IsNotExist(err) {
+		data, err = publishStamp(dir, vpath, want+"\n")
+	}
+	if err != nil {
+		return fmt.Errorf("fleet: characterization cache version stamp: %w", err)
+	}
+	if got := strings.TrimSpace(string(data)); got != want {
+		return fmt.Errorf("fleet: characterization cache dir %s is version %s, this build writes version %s; refusing mismatched versions (clear the dir or use another)",
+			dir, got, want)
 	}
 	c.dir.Store(dir)
 	return nil
+}
+
+// publishStamp writes stamp into a temp file and hard-links it to
+// vpath. The link either creates vpath complete or fails because
+// vpath exists; then the stamp another attacher published first is
+// read back and returned instead, so the caller checks whichever
+// version won. Unlike a rename, the link never replaces an existing
+// stamp.
+func publishStamp(dir, vpath, stamp string) ([]byte, error) {
+	tmp, err := os.CreateTemp(dir, ".version-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.WriteString(stamp); err != nil {
+		tmp.Close()
+		return nil, err
+	}
+	if err := tmp.Close(); err != nil {
+		return nil, err
+	}
+	if err := os.Link(tmp.Name(), vpath); err != nil {
+		if errors.Is(err, fs.ErrExist) {
+			return os.ReadFile(vpath)
+		}
+		return nil, err
+	}
+	return []byte(stamp), nil
 }
 
 // diskEntryState is one spilled cache entry: the key (verified on

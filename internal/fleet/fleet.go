@@ -645,15 +645,16 @@ func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreA
 
 // characterizeArchetype is the bin-clone path: the whole archetype bin
 // shares one characterization, seeded by the bin (ArchetypeSeed), and
-// each node restores a deep copy and reseeds its runtime streams with
-// its own node seed. Which node populates the bin entry first can
-// never matter — the bin seed, not the node seed, drives the campaign
-// — so results are worker- and shard-invariant by construction.
-func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.RestoreArena,
+// each node restores a copy and reseeds its runtime streams with its
+// own node seed. Which node populates the bin entry first can never
+// matter — the bin seed, not the node seed, drives the campaign — so
+// results are worker- and shard-invariant by construction. keys is the
+// calling worker's memo of resolved bins.
+func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.RestoreArena, keys archetypeKeys,
 	fleetSeed uint64, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	binSeed := ArchetypeSeed(fleetSeed, ArchetypeBin(spec))
-	snap, tmpl, pre, logBytes, err := cache.characterized(charactKey(binSeed, spec, wantLog), wantLog,
-		charactBuilder(spec, binSeed))
+	bin := keys.resolve(fleetSeed, spec, wantLog)
+	snap, tmpl, pre, logBytes, err := cache.characterized(bin.key, wantLog,
+		charactBuilder(spec, bin.seed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
@@ -803,7 +804,7 @@ func Run(cfg Config) (Summary, error) {
 	// next node. At most `workers` ecosystems exist at any instant,
 	// however many nodes the fleet has; cached-path nodes reuse their
 	// worker's one arena graph instead of rebuilding it.
-	runNode := func(i int, arena *core.RestoreArena) {
+	runNode := func(i int, arena *core.RestoreArena, keys archetypeKeys) {
 		s := states[i]
 		failNode := func(w int, err error) {
 			s.err, s.errWindow = err, w
@@ -817,7 +818,7 @@ func Run(cfg Config) (Summary, error) {
 		)
 		switch {
 		case cfg.Archetypes:
-			eco, pre, err = s.characterizeArchetype(charact, arena, cfg.Seed, spec, wantLog)
+			eco, pre, err = s.characterizeArchetype(charact, arena, keys, cfg.Seed, spec, wantLog)
 		case charact != nil:
 			eco, pre, err = s.characterizeCached(charact, arena, spec, wantLog)
 		default:
@@ -1172,10 +1173,12 @@ func Run(cfg Config) (Summary, error) {
 			defer wg.Done()
 			// One restore arena per worker goroutine: the cached paths
 			// stamp each node's ecosystem into it, reusing the graph
-			// built by the worker's first node.
+			// built by the worker's first node. The archetype-key memo
+			// is the worker's too, so bin lookups never lock.
 			arena := core.NewRestoreArena()
+			keys := archetypeKeys{}
 			for j := range jobs {
-				runNode(j.node, arena)
+				runNode(j.node, arena, keys)
 				finishedNodes.Add(1)
 				if shardLeft[j.shard].Add(-1) == 0 {
 					// Last node of the shard: the fold loop can drain it.

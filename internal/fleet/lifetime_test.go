@@ -3,7 +3,9 @@ package fleet
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"uniserver/internal/core"
@@ -158,6 +160,56 @@ func TestAttachDirRefusesMismatchedVersion(t *testing.T) {
 	}
 	if err := NewCharactCache().AttachDir(fresh); err != nil {
 		t.Fatalf("re-attach to a same-version dir refused: %v", err)
+	}
+	// A spill dir written before the VRT state moved out of the weak
+	// cells (format 1) is refused by name, not misread.
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, "VERSION"), []byte("1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := NewCharactCache().AttachDir(old)
+	if err == nil || !strings.Contains(err.Error(), "is version 1") {
+		t.Fatalf("format-1 spill dir: got %v, want the named version refusal", err)
+	}
+}
+
+// TestAttachDirConcurrentFreshDir pins the stamp publication: caches
+// attaching one fresh directory at the same time must all succeed —
+// none may read a half-written stamp — and leave exactly one complete
+// stamp and no temp files behind.
+func TestAttachDirConcurrentFreshDir(t *testing.T) {
+	const attachers, rounds = 8, 200
+	want := strconv.Itoa(core.SnapshotFormatVersion) + "\n"
+	for r := 0; r < rounds; r++ {
+		dir := filepath.Join(t.TempDir(), "charact")
+		errs := make([]error, attachers)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				errs[g] = NewCharactCache().AttachDir(dir)
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: attacher %d: %v", r, g, err)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "VERSION" {
+			t.Fatalf("round %d: dir holds %v, want only VERSION", r, entries)
+		}
+		if data, err := os.ReadFile(filepath.Join(dir, "VERSION")); err != nil || string(data) != want {
+			t.Fatalf("round %d: stamp %q (%v), want %q", r, data, err, want)
+		}
 	}
 }
 

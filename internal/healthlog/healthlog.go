@@ -87,6 +87,12 @@ type Daemon struct {
 	// two allocations per retained vector. Unused on live daemons.
 	sensorSlab []telemetry.Reading
 	errorSlab  []telemetry.ErrorEvent
+	// spare holds component histories a stamp swept out (their names
+	// belong to another template), kept with their vector storage for
+	// the next stamp's new names: an arena alternating between archetype
+	// bins whose parts name components differently would otherwise
+	// regrow every history on every stamp. Unused on live daemons.
+	spare []*compHistory
 }
 
 // compHistory is one component's retained vectors plus the rolling

@@ -120,17 +120,23 @@ func (c *Compiled) StampInto(d *Daemon, clock *telemetry.Clock, out io.Writer) {
 		d.byComp = make(map[string]*compHistory, len(c.comps))
 	} else {
 		// Sweep histories the template doesn't know (cross-template
-		// arena reuse); same-template stamps find every key present.
-		for name := range d.byComp {
+		// arena reuse) into the spares; same-template stamps find every
+		// key present.
+		for name, h := range d.byComp {
 			if !c.hasComp(name) {
 				delete(d.byComp, name)
+				d.spare = append(d.spare, h)
 			}
 		}
 	}
 	for _, cc := range c.comps {
 		h := d.byComp[cc.name]
 		if h == nil {
-			h = &compHistory{}
+			if n := len(d.spare); n > 0 {
+				h, d.spare = d.spare[n-1], d.spare[:n-1]
+			} else {
+				h = &compHistory{}
+			}
 			d.byComp[cc.name] = h
 		}
 		h.winStart = cc.winStart

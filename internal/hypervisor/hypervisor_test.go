@@ -100,6 +100,29 @@ func TestObjectMapProtect(t *testing.T) {
 	}
 }
 
+// TestObjectMapSharedCopyOnWrite pins the inventory sharing: clones
+// and arena copies reference one object slice, and relabeling through
+// either Protect form on one holder is invisible to every other.
+func TestObjectMapSharedCopyOnWrite(t *testing.T) {
+	om := NewObjectMap(DefaultProfiles(), rng.New(5))
+	clone := om.Clone()
+	stamped := &ObjectMap{}
+	stamped.CopyFrom(om)
+	if &clone.Objects[0] != &om.Objects[0] || &stamped.Objects[0] != &om.Objects[0] {
+		t.Fatal("Clone or CopyFrom copied the inventory instead of sharing it")
+	}
+	before := om.ProtectedBytes()
+	if clone.Protect(Categories()...) == 0 || stamped.ProtectObjects([]int{0, 1, 2}) == 0 {
+		t.Fatal("nothing relabeled; the test proves too little")
+	}
+	if om.ProtectedBytes() != before {
+		t.Fatal("relabeling a clone or an arena copy changed the original")
+	}
+	if got, want := stamped.ProtectedBytes(), before+uint64(om.Objects[0].Bytes+om.Objects[1].Bytes+om.Objects[2].Bytes); got > want {
+		t.Fatalf("arena copy saw the clone's relabel: %d protected bytes, at most %d", got, want)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	om := NewObjectMap(DefaultProfiles(), rng.New(4))
 	mem := testMem(t, 4)

@@ -102,6 +102,10 @@ type Object struct {
 
 // ObjectMap is the hypervisor's statically allocated object inventory.
 type ObjectMap struct {
+	// Objects is the inventory. It is never written in place once
+	// fabricated — Clone and CopyFrom share it by reference, and Protect
+	// and ProtectObjects install a relabeled copy instead — so cloned
+	// hypervisors share one inventory until one of them relabels.
 	Objects  []Object
 	profiles map[Category]CategoryProfile
 }
@@ -129,11 +133,13 @@ func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
 	return om
 }
 
-// Clone returns a deep copy of the inventory, including each object's
-// current Crucial and Protected labels.
+// Clone returns an independent copy of the inventory, including each
+// object's current Crucial and Protected labels. The object slice is
+// shared (cap-limited): it is copy-on-write, so neither side's later
+// relabeling is visible to the other.
 func (om *ObjectMap) Clone() *ObjectMap {
 	out := &ObjectMap{
-		Objects:  append([]Object(nil), om.Objects...),
+		Objects:  om.Objects[:len(om.Objects):len(om.Objects)],
 		profiles: make(map[Category]CategoryProfile, len(om.profiles)),
 	}
 	for c, p := range om.profiles {
@@ -215,30 +221,49 @@ func (om *ObjectMap) AccessProb(c Category, loaded bool) float64 {
 }
 
 // Protect marks every object in the given categories as protected and
-// returns the number of objects covered.
+// returns the number of objects covered. The labels change in a fresh
+// copy of the inventory (the old one may be shared with clones).
 func (om *ObjectMap) Protect(categories ...Category) int {
 	set := make(map[Category]bool, len(categories))
 	for _, c := range categories {
 		set[c] = true
 	}
+	var objs []Object
 	n := 0
 	for i := range om.Objects {
 		if set[om.Objects[i].Category] && !om.Objects[i].Protected {
-			om.Objects[i].Protected = true
+			if objs == nil {
+				objs = append([]Object(nil), om.Objects...)
+			}
+			objs[i].Protected = true
 			n++
 		}
+	}
+	if objs != nil {
+		om.Objects = objs
 	}
 	return n
 }
 
-// ProtectObjects marks the specific object IDs as protected.
+// ProtectObjects marks the specific object IDs as protected, in a
+// fresh copy of the inventory like Protect.
 func (om *ObjectMap) ProtectObjects(ids []int) int {
+	var objs []Object
 	n := 0
 	for _, id := range ids {
-		if id >= 0 && id < len(om.Objects) && !om.Objects[id].Protected {
-			om.Objects[id].Protected = true
+		if id < 0 || id >= len(om.Objects) || om.Objects[id].Protected {
+			continue
+		}
+		if objs == nil {
+			objs = append([]Object(nil), om.Objects...)
+		}
+		if !objs[id].Protected { // ids may repeat
+			objs[id].Protected = true
 			n++
 		}
+	}
+	if objs != nil {
+		om.Objects = objs
 	}
 	return n
 }

@@ -7,8 +7,9 @@ import (
 	"uniserver/internal/dram"
 )
 
-// StampFrom overwrites h with a deep copy of src rebound to mem,
-// reusing h's object inventory, allocator and map storage. It is the
+// StampFrom overwrites h with a copy of src rebound to mem, reusing
+// h's allocator and map storage and sharing src's immutable object
+// inventory. It is the
 // arena form of Clone: src must be quiescent (a restore template's
 // proto hypervisor, which nothing ever runs again), h must be owned
 // exclusively by the caller, and afterwards h's error handling and
@@ -70,11 +71,11 @@ func (h *Hypervisor) StampFrom(src *Hypervisor, mem *dram.MemorySystem) error {
 	return nil
 }
 
-// CopyFrom replaces om's inventory with a copy of src's, reusing om's
-// object slice and profile map storage. The arena form of Clone — one
-// bulk copy of the (large, plain-value) object slice.
+// CopyFrom replaces om's inventory with src's, reusing om's profile
+// map storage. The arena form of Clone: the object slice is shared
+// (cap-limited, copy-on-write under Protect), so no objects are copied.
 func (om *ObjectMap) CopyFrom(src *ObjectMap) {
-	om.Objects = append(om.Objects[:0], src.Objects...)
+	om.Objects = src.Objects[:len(src.Objects):len(src.Objects)]
 	if om.profiles == nil {
 		om.profiles = make(map[Category]CategoryProfile, len(src.profiles))
 	} else {
