@@ -270,12 +270,15 @@ func renderFleet(out io.Writer, path string) error {
 }
 
 // renderRestore draws BenchmarkSnapshotRestore's history: the fixed
-// per-node cost of materializing a cached characterization, legacy
-// deep restore vs the compiled template stamp the fleet runs.
+// per-node cost of materializing a cached characterization, a cold
+// stamp into a fresh arena vs the warm stamp the fleet runs. The cold
+// column holds the legacy deep restore for records written before
+// snapshot format 3, which replaced it; the JSON field names stayed,
+// so the history is one series.
 func renderRestore(out io.Writer, f fleetFile) {
 	fmt.Fprintf(out, "\n## BenchmarkSnapshotRestore (per-node restore from a cached characterization)\n\n")
-	fmt.Fprintf(out, "| run | date | env | gomaxprocs | legacy ns/op | legacy allocs/op | template ns/op | template allocs/op | speedup |\n")
-	fmt.Fprintf(out, "|----:|------|-----|-----------:|-------------:|-----------------:|---------------:|-------------------:|--------:|\n")
+	fmt.Fprintf(out, "| run | date | env | gomaxprocs | cold (legacy before snapshot format 3) ns/op | cold allocs/op | template ns/op | template allocs/op | speedup |\n")
+	fmt.Fprintf(out, "|----:|------|-----|-----------:|---------------------------------------------:|---------------:|---------------:|-------------------:|--------:|\n")
 	var series []float64
 	for i, r := range f.Restore {
 		fmt.Fprintf(out, "| %d | %s | %s | %d | %s | %.0f | %s | %.0f | %.2fx |\n",

@@ -103,8 +103,6 @@ func run() error {
 	seedCount := flag.Int("seeds", 1, "campaign: seeds per scenario (seed, seed+1, ...)")
 	parallel := flag.Int("parallel", 0,
 		"campaign: concurrent grid cells (0 = GOMAXPROCS); workers pull cells as they free up, results stay in grid order")
-	shareCharact := flag.Bool("share-charact", true,
-		"campaign: share pre-deployment characterization across cells via ecosystem snapshots (byte-identical results, several-fold faster; disable to measure the uncached cost)")
 	charactDir := flag.String("charact-dir", "",
 		"campaign: spill characterization snapshots to this versioned cache dir so separate runs (CLI, CI) share them across processes; refuses a dir written by a different snapshot-format version")
 	reportPath := flag.String("report", "", "campaign: write the machine-readable JSON report to this file")
@@ -214,23 +212,14 @@ func run() error {
 	if set["parallel"] && *campaignSpec == "" {
 		return fmt.Errorf("-parallel only applies to -campaign; use -workers for a single fleet run")
 	}
-	if set["share-charact"] && *campaignSpec == "" {
-		return fmt.Errorf("-share-charact only applies to -campaign; single runs have nothing to share")
-	}
 	if *charactDir != "" && *campaignSpec == "" {
 		return fmt.Errorf("-charact-dir only applies to -campaign")
-	}
-	if *charactDir != "" && !*shareCharact {
-		return fmt.Errorf("-charact-dir needs -share-charact=true (the dir spills the shared snapshot cache)")
 	}
 	if *resultStore != "" && *campaignSpec == "" {
 		return fmt.Errorf("-result-store only applies to -campaign")
 	}
 	if *resultStore != "" && *charactDir != "" {
 		return fmt.Errorf("-result-store keeps characterization snapshots inside the store; -charact-dir does not apply")
-	}
-	if *resultStore != "" && !*shareCharact {
-		return fmt.Errorf("-result-store needs -share-charact=true (resume shares snapshots through the store)")
 	}
 	if (set["recharact-every"] || set["gap-duty"]) && *lifetimeSpec == "" {
 		return fmt.Errorf("-recharact-every and -gap-duty only apply with -lifetime")
@@ -316,7 +305,6 @@ func run() error {
 			seedCount:       *seedCount,
 			workers:         *workers,
 			parallel:        *parallel,
-			shareCharact:    *shareCharact,
 			charactDir:      *charactDir,
 			reportPath:      *reportPath,
 			storeDir:        *resultStore,
@@ -496,7 +484,7 @@ func runScenario(name string, nodesOverride, windowsOverride int, seed uint64, w
 	fmt.Printf("  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
 	if cache != nil {
 		st := cache.Stats()
-		fmt.Printf("  archetype bins:           %d characterized, %d templates compiled, %d nodes cloned\n",
+		fmt.Printf("  archetype bins:           %d characterized, %d images published, %d nodes cloned\n",
 			st.Misses, st.Compiled, st.Hits)
 	}
 	if streamed > 0 {
@@ -525,7 +513,6 @@ type campaignOpts struct {
 	seed                           uint64
 	seedCount                      int
 	workers, parallel              int
-	shareCharact                   bool
 	charactDir, reportPath         string
 	// storeDir, when set, routes the run through the campaignd engine
 	// against a persistent result store: cells persist as they finish,
@@ -569,7 +556,6 @@ func buildCampaign(o campaignOpts) (scenario.Campaign, error) {
 	}
 	camp.FleetWorkers = o.workers
 	camp.Parallel = o.parallel
-	camp.DisableCharactShare = !o.shareCharact
 	camp.CharactDir = o.charactDir
 	return camp, nil
 }
@@ -586,9 +572,8 @@ func runCampaignCLI(ctx context.Context, out io.Writer, o campaignOpts) error {
 	}
 	camp.Context = ctx
 
-	fmt.Fprintf(out, "== campaign: %d scenarios x %d seeds (%d cells, %d-way parallel, charact sharing %s) ==\n",
-		len(camp.Scenarios), len(camp.Seeds), len(camp.Scenarios)*len(camp.Seeds), camp.EffectiveParallel(),
-		map[bool]string{true: "on", false: "off"}[o.shareCharact])
+	fmt.Fprintf(out, "== campaign: %d scenarios x %d seeds (%d cells, %d-way parallel) ==\n",
+		len(camp.Scenarios), len(camp.Seeds), len(camp.Scenarios)*len(camp.Seeds), camp.EffectiveParallel())
 	start := time.Now()
 
 	var rep scenario.Report
@@ -642,31 +627,27 @@ func runCampaignCLI(ctx context.Context, out io.Writer, o campaignOpts) error {
 		fmt.Fprintf(out, "\ncampaign fingerprint sha256:%s  (%v wall-clock)\n",
 			rep.FingerprintSHA256, time.Since(start).Round(time.Millisecond))
 	}
-	if o.shareCharact {
-		hits, misses := rep.CharactCacheHits, rep.CharactCacheMisses
-		reuse := 1.0
-		if work := misses + rep.CharactDiskHits; work > 0 {
-			reuse = float64(hits+work) / float64(work)
+	hits, misses := rep.CharactCacheHits, rep.CharactCacheMisses
+	reuse := 1.0
+	if work := misses + rep.CharactDiskHits; work > 0 {
+		reuse = float64(hits+work) / float64(work)
+	}
+	fmt.Fprintf(out, "snapshot cache: %d hits / %d misses across %d-way parallel cells (%.1fx characterization reuse)\n",
+		hits, misses, rep.EffectiveParallel, reuse)
+	if rep.CharactCompiled > 0 {
+		fmt.Fprintf(out, "snapshot cache: %d characterization images published; every hit stamped from one\n",
+			rep.CharactCompiled)
+	}
+	if rep.CharactCoalesced > 0 {
+		fmt.Fprintf(out, "snapshot cache: %d concurrent misses coalesced onto in-flight characterizations\n",
+			rep.CharactCoalesced)
+	}
+	if o.charactDir != "" {
+		fmt.Fprintf(out, "snapshot cache dir %s: %d entries served from disk (characterizations shared across processes)\n",
+			o.charactDir, rep.CharactDiskHits)
+		if rep.CharactDiskErr != "" {
+			fmt.Fprintf(out, "WARNING: snapshot cache dir is not accumulating: %s\n", rep.CharactDiskErr)
 		}
-		fmt.Fprintf(out, "snapshot cache: %d hits / %d misses across %d-way parallel cells (%.1fx characterization reuse)\n",
-			hits, misses, rep.EffectiveParallel, reuse)
-		if rep.CharactCompiled > 0 {
-			fmt.Fprintf(out, "snapshot cache: %d restore templates compiled; every hit stamped from a template instead of deep-restoring\n",
-				rep.CharactCompiled)
-		}
-		if rep.CharactCoalesced > 0 {
-			fmt.Fprintf(out, "snapshot cache: %d concurrent misses coalesced onto in-flight characterizations\n",
-				rep.CharactCoalesced)
-		}
-		if o.charactDir != "" {
-			fmt.Fprintf(out, "snapshot cache dir %s: %d entries served from disk (characterizations shared across processes)\n",
-				o.charactDir, rep.CharactDiskHits)
-			if rep.CharactDiskErr != "" {
-				fmt.Fprintf(out, "WARNING: snapshot cache dir is not accumulating: %s\n", rep.CharactDiskErr)
-			}
-		}
-	} else {
-		fmt.Fprintf(out, "snapshot cache: disabled (-share-charact=false); every cell characterized its own nodes\n")
 	}
 	if st != nil {
 		stats := st.Stats()
@@ -903,7 +884,7 @@ func runFleet(nodes, workers, shards int, seed uint64, m vfr.Mode, risk float64,
 		sum.WallClock.Round(time.Millisecond), sum.Workers, sum.Shards)
 	fmt.Printf("  peak heap:                %.1f MiB\n", float64(peak)/(1<<20))
 	if cache != nil {
-		fmt.Printf("  archetype bins:           %d characterized, %d templates compiled, %d nodes cloned\n",
+		fmt.Printf("  archetype bins:           %d characterized, %d images published, %d nodes cloned\n",
 			cacheStats.Misses, cacheStats.Compiled, cacheStats.Hits)
 	}
 	if streamed > 0 {

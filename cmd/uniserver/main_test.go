@@ -20,7 +20,6 @@ func testCampaignOpts(storeDir string) campaignOpts {
 		seed:            11,
 		seedCount:       2,
 		parallel:        1,
-		shareCharact:    true,
 		storeDir:        storeDir,
 	}
 }

@@ -126,7 +126,7 @@ type Ecosystem struct {
 	// capture once it is non-zero, unless the ecosystem sits on an
 	// epoch boundary (see snapshot.go). atEpochBoundary is set by
 	// FastForward — which re-seats the thermal state at ambient, the
-	// property Restore relies on — and cleared by the next window.
+	// property a restore relies on — and cleared by the next window.
 	windowsRun      int
 	atEpochBoundary bool
 
@@ -148,6 +148,12 @@ var dramwinLabel = rng.MakeLabel("dramwin")
 // core behind them (DRAM events).
 var noCore = func(string) int { return -1 }
 
+// refreshModel is the node's DRAM refresh-power model, fixed by its
+// memory spec; restores re-derive it rather than carry it.
+func refreshModel(opts Options) power.DRAMRefreshModel {
+	return power.DRAMRefreshModel{DeviceGb: opts.Mem.DeviceGb, TotalMemW: 12}
+}
+
 // New builds an ecosystem. Pre-deployment characterization has not run
 // yet; call PreDeployment before EnterMode.
 func New(opts Options) (*Ecosystem, error) {
@@ -168,7 +174,7 @@ func New(opts Options) (*Ecosystem, error) {
 		return nil, fmt.Errorf("core: building memory system: %w", err)
 	}
 	health := healthlog.New(healthlog.DefaultConfig(), clock, opts.HealthLogOut)
-	refresh := power.DRAMRefreshModel{DeviceGb: opts.Mem.DeviceGb, TotalMemW: 12}
+	refresh := refreshModel(opts)
 	stressd := stresslog.New(clock, machine, mem, health, refresh, opts.StressPeriod)
 	health.OnStressTrigger(stressd.TriggerHandler())
 
@@ -196,10 +202,7 @@ func New(opts Options) (*Ecosystem, error) {
 		trip:       thermal.DefaultTrip(),
 		dramHits:   make(map[string]int),
 	}
-	e.coreNames = make([]string, opts.Part.Cores)
-	for c := range e.coreNames {
-		e.coreNames[c] = fmt.Sprintf("%s/core%d", opts.Part.Model, c)
-	}
+	e.coreNames = coreNamesFor(opts.Part)
 	e.coreOf = func(string) int { return e.curCore }
 	return e, nil
 }

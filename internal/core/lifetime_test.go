@@ -78,7 +78,7 @@ func TestFastForwardSplitEquivalence(t *testing.T) {
 		}
 	}
 
-	if a, b := one.Machine.Chip.StressedHours(), split.Machine.Chip.StressedHours(); a != b {
+	if a, b := one.Machine.Chip.StressedHours, split.Machine.Chip.StressedHours; a != b {
 		t.Fatalf("stressed hours diverged: %v vs %v", a, b)
 	}
 	if a, b := one.Machine.Chip.AgeShiftMV, split.Machine.Chip.AgeShiftMV; a != b {
@@ -127,14 +127,14 @@ func TestFastForwardAgesAndReseats(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := eco.Clock.Now()
-	h0 := eco.Machine.Chip.StressedHours()
+	h0 := eco.Machine.Chip.StressedHours
 	if err := d.FastForward(Gap{Days: 75, Duty: 0.5, AmbientCPUC: 38, AmbientDIMMC: 44}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := eco.Clock.Now().Sub(before), 75*24*time.Hour; got != want {
 		t.Fatalf("clock advanced %v, want %v", got, want)
 	}
-	if got, want := eco.Machine.Chip.StressedHours()-h0, 75.0*24*0.5; got != want {
+	if got, want := eco.Machine.Chip.StressedHours-h0, 75.0*24*0.5; got != want {
 		t.Fatalf("gap accumulated %v stressed hours, want %v", got, want)
 	}
 	if eco.Machine.Chip.AgeShiftMV <= 0 {
@@ -177,11 +177,8 @@ func TestSnapshotAtEpochBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boundary snapshot refused: %v", err)
 	}
-	// Restore must re-seat at the CURRENT ambient for exactness.
-	restored, err := snap.Restore(RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The restore must re-seat at the CURRENT ambient for exactness.
+	restored := coldRestore(t, snap, RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39})
 	wl := d.Workload()
 	for w := 0; w < 6; w++ {
 		ra := eco.RuntimeWindow(wl)

@@ -12,10 +12,10 @@ import (
 )
 
 // TestSnapshotDiskRoundTrip is the disk-spill correctness pin: a
-// snapshot serialized through Save and read back must restore an
+// snapshot serialized through Save and read back must stamp an
 // ecosystem whose entire forward behaviour — mode entry, every window
 // report, the deployment summary, the health-log bytes — is
-// bit-identical to a restore of the original in-memory snapshot.
+// bit-identical to a stamp of the original in-memory image.
 func TestSnapshotDiskRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -41,29 +41,20 @@ func TestSnapshotDiskRoundTrip(t *testing.T) {
 	}
 	// The telegraph states travel beside the population since format
 	// 2; every DIMM's bits must come back exactly.
-	wantVRT, gotVRT := snap.proto.Mem.VRTState(), loaded.proto.Mem.VRTState()
-	if !reflect.DeepEqual(wantVRT, gotVRT) {
+	if !reflect.DeepEqual(snap.Mem.Low, loaded.Mem.Low) {
 		t.Fatal("VRT state bits diverged across Save/LoadSnapshot")
 	}
 	lowCells := 0
-	for _, bits := range wantVRT {
-		for _, w := range bits {
-			lowCells += popcount(w)
-		}
+	for _, w := range snap.Mem.Low {
+		lowCells += popcount(w)
 	}
 	if lowCells == 0 {
 		t.Fatal("no VRT cell sits in its low state; the bit comparison proves too little")
 	}
 
 	var logA, logB bytes.Buffer
-	a, err := snap.Restore(RestoreOptions{HealthLogOut: &logA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Restore(RestoreOptions{HealthLogOut: &logB})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := coldRestore(t, snap, RestoreOptions{HealthLogOut: &logA})
+	b := coldRestore(t, loaded, RestoreOptions{HealthLogOut: &logB})
 	wl := workload.WebFrontend()
 	da, err := a.StartDeployment(vfr.ModeHighPerformance, 0.01, wl)
 	if err != nil {
@@ -119,8 +110,10 @@ func popcount(w uint64) int {
 }
 
 // TestLoadSnapshotValidatesVRTState: state bits from the wire must
-// match the population they describe, or the load fails by name
-// instead of restoring a silently wrong memory system.
+// match the population they describe, and every other extent or index
+// a stamp follows must lie inside the image, or the load fails by name
+// instead of restoring a silently wrong ecosystem (or panicking in a
+// later stamp).
 func TestLoadSnapshotValidatesVRTState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -134,21 +127,29 @@ func TestLoadSnapshotValidatesVRTState(t *testing.T) {
 	if err := snap.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for name, tamper := range map[string]func(st *snapshotState){
-		"missing DIMM": func(st *snapshotState) { st.VRTState = st.VRTState[1:] },
-		"short bitset": func(st *snapshotState) { st.VRTState[0] = st.VRTState[0][1:] },
-		"stable cell":  func(st *snapshotState) { st.VRTState[0][0] |= stableBit(st) },
+	for name, tc := range map[string]struct {
+		tamper func(s *Snapshot)
+		want   string
+	}{
+		"short bitset":  {func(s *Snapshot) { s.Mem.DIMMs[0].LowHi-- }, "VRT state"},
+		"missing words": {func(s *Snapshot) { s.Mem.Low = s.Mem.Low[:len(s.Mem.Low)-1] }, "VRT state"},
+		"stable cell":   {func(s *Snapshot) { s.Mem.Low[s.Mem.DIMMs[0].LowLo] |= stableBit(s) }, "VRT state"},
+		"missing DIMM":  {func(s *Snapshot) { s.Mem.DIMMs = s.Mem.DIMMs[1:] }, "DIMM extent"},
+		"vector extent": {func(s *Snapshot) { s.Health.Comps[0].VecHi = len(s.Health.Vecs) + 1 }, "vector extent"},
+		"sensor extent": {func(s *Snapshot) { s.Health.Vecs[0].SensHi = len(s.Health.Sensors) + 1 }, "sensor extent"},
+		"alloc domain":  {func(s *Snapshot) { s.Hyp.Alloc.Allocations[0].Domain = len(s.Mem.Domains) }, "domain"},
+		"chip cores":    {func(s *Snapshot) { s.Chip.Cores = s.Chip.Cores[1:] }, "cores"},
 	} {
 		dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
 		var version int
-		var st snapshotState
+		var st Snapshot
 		if err := dec.Decode(&version); err != nil {
 			t.Fatal(err)
 		}
 		if err := dec.Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		tamper(&st)
+		tc.tamper(&st)
 		var out bytes.Buffer
 		enc := gob.NewEncoder(&out)
 		if err := enc.Encode(version); err != nil {
@@ -157,16 +158,16 @@ func TestLoadSnapshotValidatesVRTState(t *testing.T) {
 		if err := enc.Encode(&st); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSnapshot(&out); err == nil || !strings.Contains(err.Error(), "VRT state") {
-			t.Fatalf("%s: got %v, want a VRT state refusal", name, err)
+		if _, err := LoadSnapshot(&out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want a %q refusal", name, err, tc.want)
 		}
 	}
 }
 
 // stableBit returns the state bit of the first non-VRT cell among the
 // first DIMM's first 64 cells.
-func stableBit(st *snapshotState) uint64 {
-	for i, c := range st.Mem.Domains[0].DIMMs[0].Weak[:64] {
+func stableBit(s *Snapshot) uint64 {
+	for i, c := range s.Mem.DIMMs[0].Weak[:64] {
 		if c.AltRetentionSec == 0 {
 			return 1 << uint(i)
 		}
@@ -187,8 +188,8 @@ func TestLoadSnapshotRefusesMismatchedVersion(t *testing.T) {
 
 // TestSaveRefusesPostDeploymentState: disk persistence covers the
 // pre-deployment characterization checkpoint only; snapshots taken
-// after mode entry (or mid-life) carry hypervisor state the wire form
-// does not model and must refuse loudly.
+// after mode entry (or mid-life) carry deployment state the cache key
+// does not describe and must refuse loudly.
 func TestSaveRefusesPostDeploymentState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")

@@ -295,10 +295,7 @@ func TestAdviceStableAcrossSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := coldRestore(t, snap, RestoreOptions{})
 	d2, err := restored.StartDeployment(vfr.ModeHighPerformance, 0.01, workload.WebFrontend())
 	if err != nil {
 		t.Fatal(err)

@@ -91,10 +91,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				restored, err := snap.Restore(RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm})
-				if err != nil {
-					t.Fatal(err)
-				}
+				restored := coldRestore(t, snap, RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm})
 
 				want := deploymentTrace(t, fresh, windows)
 				got := deploymentTrace(t, restored, windows)
@@ -112,7 +109,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // state, so running one to completion (mutating its silicon aging,
 // DRAM VRT states, healthlog history, hypervisor counters and rng
 // positions) must leave a sibling's and the snapshot's own behaviour
-// untouched.
+// untouched. The image is equally detached from its live source:
+// driving the source through every path that writes characterized
+// state — a deployment, weak-cell growth across a fast-forward, an
+// in-field re-characterization, a protection relabel, and in-place
+// writes to its published history tables and virus archive — must not
+// change what a later stamp sees.
 func TestSnapshotRestoresAreIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -122,13 +124,8 @@ func TestSnapshotRestoresAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := func() *Ecosystem {
-		r, err := snap.Restore(RestoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	restore := func() *Ecosystem { return coldRestore(t, snap, RestoreOptions{}) }
+	wantStress := stressDigest(restore())
 	a, b := restore(), restore()
 	traceA := deploymentTrace(t, a, 30)
 	// b runs only after a has fully mutated itself; any sharing would
@@ -152,10 +149,75 @@ func TestSnapshotRestoresAreIndependent(t *testing.T) {
 		t.Fatalf("snapshot source diverged from its restores:\n--- source ---\n%s--- restore ---\n%s",
 			traceOrig, traceA)
 	}
+
+	// Now age the live source through everything that reaches
+	// characterized state, then write its published tables and archive
+	// in place: only an image that owns its copies survives this.
+	if err := ageSharedState(eco); err != nil {
+		t.Fatal(err)
+	}
+	hist := eco.Stress.History()
+	if len(hist) < 2 {
+		t.Fatal("source did not re-characterize; the aging proves too little")
+	}
+	for _, vec := range hist {
+		for _, comp := range vec.Table.Components() {
+			m, err := vec.Table.Lookup(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Safe.VoltageMV += 7
+			vec.Table.Set(m)
+		}
+	}
+	entries := eco.Stress.Archive().Entries()
+	if len(entries) == 0 {
+		t.Fatal("source archive is empty; the archive check proves nothing")
+	}
+	for _, en := range entries {
+		en.Fitness++
+		if err := eco.Stress.Archive().Put(en); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := deploymentTrace(t, restore(), 30); got != traceA {
+		t.Fatalf("mutating the live source changed later stamps:\n--- before ---\n%s--- after ---\n%s", traceA, got)
+	}
+	if got := stressDigest(restore()); got != wantStress {
+		t.Fatalf("mutating the live source changed the image's StressLog state:\n--- before ---\n%s--- after ---\n%s",
+			wantStress, got)
+	}
+}
+
+// coldRestore stamps the snapshot into a fresh arena: the cold stamp
+// every test uses as its restore of reference.
+func coldRestore(t *testing.T, snap *Snapshot, opts RestoreOptions) *Ecosystem {
+	t.Helper()
+	e, err := snap.RestoreInto(NewRestoreArena(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// stressDigest renders the StressLog state a stamp copies out of the
+// image: every published table of the history and the virus archive.
+func stressDigest(e *Ecosystem) string {
+	var b strings.Builder
+	for i, vec := range e.Stress.History() {
+		for _, comp := range vec.Table.Components() {
+			m, _ := vec.Table.Lookup(comp)
+			fmt.Fprintf(&b, "history %d: %+v\n", i, m)
+		}
+	}
+	for _, en := range e.Stress.Archive().Entries() {
+		fmt.Fprintf(&b, "archive: %+v\n", en)
+	}
+	return b.String()
 }
 
 // TestSnapshotRefusesMidDeployment pins the capture-window guard:
-// Restore re-derives thermal state from ambient, which is only exact
+// a restore re-derives thermal state from ambient, which is only exact
 // before the first runtime window, so a later Snapshot must fail
 // loudly instead of producing restores that silently diverge.
 func TestSnapshotRefusesMidDeployment(t *testing.T) {
@@ -174,24 +236,23 @@ func TestSnapshotRefusesMidDeployment(t *testing.T) {
 	}
 }
 
-// restoreAllocBudget fences the allocation count of one Restore — the
-// operation every cache hit pays instead of a full characterization.
-// The dominant terms are O(weak cells) slice copies (two DIMMs here),
-// the 16,820-object hypervisor inventory copy, and the HealthLog's
-// retained characterization vectors; all are single-allocation bulk
-// copies, so the count stays in the low hundreds (measured ~200). If
-// this fence breaks, a clone started copying element-wise (or
-// deep-copying something it used to bulk-copy) — fix the clone, don't
-// raise the fence.
+// restoreAllocBudget fences the allocation count of one cold stamp —
+// a restore into a fresh arena, which builds the whole ecosystem graph.
+// The dominant terms are the per-DIMM VRT state bits, the HealthLog's
+// retained characterization vectors (two slabs plus one history per
+// component) and the StressLog history tables; the weak-cell
+// populations and the hypervisor inventory are shared, not copied, so
+// the count stays low. If this fence breaks, a stamp started copying
+// element-wise (or deep-copying something it used to bulk-copy) — fix
+// the stamp, don't raise the fence.
 const restoreAllocBudget = 400
 
 // templateRestoreAllocBudget fences the steady-state allocation count
-// of a warm template stamp — the cost every fleet node actually pays
-// now that the compiled path is default-on. Everything is stamped into
-// reused arena storage; the only survivors are the two thermal-node
-// constructions of the ambient re-seat (measured: 2). If this fence
-// breaks, a stamp started allocating per element — fix the stamp,
-// don't raise the fence.
+// of a warm stamp — the cost every cached fleet node actually pays.
+// Everything is stamped into reused arena storage; the only survivors
+// are the two thermal-node constructions of the ambient re-seat
+// (measured: 2). If this fence breaks, a stamp started allocating per
+// element — fix the stamp, don't raise the fence.
 const templateRestoreAllocBudget = 4
 
 func TestSnapshotRestoreAllocBudget(t *testing.T) {
@@ -204,29 +265,27 @@ func TestSnapshotRestoreAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := snap.Restore(RestoreOptions{}); err != nil {
+		if _, err := snap.RestoreInto(NewRestoreArena(), RestoreOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Snapshot.Restore: %.0f allocs (budget %d)", avg, restoreAllocBudget)
+	t.Logf("RestoreInto (cold, fresh arena): %.0f allocs (budget %d)", avg, restoreAllocBudget)
 	if avg > restoreAllocBudget {
-		t.Fatalf("Snapshot.Restore allocates %.0f, budget is %d — the clone path regressed",
+		t.Fatalf("cold stamp allocates %.0f, budget is %d — the cold path regressed",
 			avg, restoreAllocBudget)
 	}
 
-	// The compiled fast path: near zero steady-state allocations once
-	// the arena is warm.
-	tmpl := snap.Compile()
+	// The steady state: near zero allocations once the arena is warm.
 	arena := NewRestoreArena()
-	if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+	if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(50, func() {
-		if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+		if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("RestoreTemplate.RestoreInto (warm): %.0f allocs (budget %d)", warm, templateRestoreAllocBudget)
+	t.Logf("RestoreInto (warm): %.0f allocs (budget %d)", warm, templateRestoreAllocBudget)
 	if warm > templateRestoreAllocBudget {
 		t.Fatalf("warm template stamp allocates %.0f, budget is %d — the stamp path regressed",
 			warm, templateRestoreAllocBudget)
@@ -250,10 +309,7 @@ func TestReseedRepositionsStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := coldRestore(t, snap, RestoreOptions{})
 	const seed = 99
 	if err := clone.Reseed(seed); err != nil {
 		t.Fatal(err)
@@ -272,10 +328,7 @@ func TestReseedRepositionsStreams(t *testing.T) {
 
 	// A reseeded clone is deployable and deterministic in its new seed:
 	// two restores reseeded alike must trace identically.
-	clone2, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone2 := coldRestore(t, snap, RestoreOptions{})
 	if err := clone2.Reseed(seed); err != nil {
 		t.Fatal(err)
 	}

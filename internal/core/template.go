@@ -1,63 +1,34 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
+	"uniserver/internal/cpu"
 	"uniserver/internal/dram"
 	"uniserver/internal/healthlog"
+	"uniserver/internal/hypervisor"
+	"uniserver/internal/power"
 	"uniserver/internal/predictor"
+	"uniserver/internal/rng"
 	"uniserver/internal/stresslog"
+	"uniserver/internal/telemetry"
 	"uniserver/internal/thermal"
 	"uniserver/internal/vfr"
 )
 
-// RestoreTemplate is a Snapshot compiled for mass restoration: the
-// snapshot's object graph flattened once into immutable, pointer-free
-// images (DRAM weak-cell and VRT slabs, health-log sensor/error
-// slabs, stress history, precomputed derived state such as the
-// per-core component names and the snapshot clock origin), so that
-// stamping a node becomes bulk copies into a reusable arena instead of
-// an allocation walk over the graph. A template is immutable after
-// Compile and safe for concurrent RestoreInto calls from any number of
-// workers with zero shared-lock acquisitions: every mutex the legacy
-// deep-restore path had to take on the shared snapshot is paid once at
-// compile time.
-//
-// RestoreInto is pinned byte-for-byte against Snapshot.Restore by the
-// equivalence tests: same fingerprints, same health-log bytes, same
-// stream positions. The legacy path stays as the reference
-// implementation.
-type RestoreTemplate struct {
-	proto     *Ecosystem // immutable; shared with the Snapshot
-	origin    time.Time  // proto clock position, read once at compile
-	health    *healthlog.Compiled
-	stressd   *stresslog.Compiled
-	flatMem   *dram.FlatMemory
-	coreNames []string // precomputed "%s/core%d" setTable names
-}
+// RestoreTemplate is the name the restore path's consumers knew the
+// compiled image by before the image became the snapshot itself.
+type RestoreTemplate = Snapshot
 
-// Compile flattens the snapshot into its template form. The snapshot
-// stays valid; template and snapshot share only immutable state.
-func (s *Snapshot) Compile() *RestoreTemplate {
-	t := &RestoreTemplate{
-		proto:   s.proto,
-		origin:  s.proto.Clock.Now(),
-		health:  s.proto.Health.Compile(),
-		stressd: s.proto.Stress.Compile(),
-		flatMem: s.proto.Mem.Flatten(),
-	}
-	t.coreNames = make([]string, s.proto.opts.Part.Cores)
-	for i := range t.coreNames {
-		t.coreNames[i] = fmt.Sprintf("%s/core%d", s.proto.opts.Part.Model, i)
-	}
-	return t
-}
+// Compile returns the snapshot itself: Snapshot already is the
+// compiled image that RestoreInto stamps from. It stays so that code
+// written against the two-step snapshot-then-compile API (the
+// perfbench/ benchmark program among it) keeps compiling unchanged.
+func (s *Snapshot) Compile() *RestoreTemplate { return s }
 
 // RestoreArena is one worker's reusable restore destination: an
-// ecosystem whose object graph is built once (on the first stamp) and
-// overwritten in place by every later RestoreInto, so steady-state
-// restores allocate almost nothing. An arena is single-owner — one
+// ecosystem graph that every RestoreInto overwrites in place, so
+// steady-state restores allocate almost nothing. A new arena is a
+// zero-valued graph; its first stamp fills it through the same stamp
+// functions every later one reuses. An arena is single-owner — one
 // worker goroutine stamps and runs one node at a time — and must not
 // be handed to a consumer that outlives the next stamp, which the
 // fleet engine's node lifecycle guarantees (nothing retained from a
@@ -70,88 +41,85 @@ type RestoreArena struct {
 	trigger func(healthlog.TriggerReason)
 }
 
-// NewRestoreArena returns an empty arena; the first RestoreInto
-// populates it.
-func NewRestoreArena() *RestoreArena { return &RestoreArena{} }
-
-// RestoreInto materializes an independent ecosystem from the template
-// into the arena, equivalent in every observable way to
-// Snapshot.Restore with the same options. The returned ecosystem IS
-// the arena's (reused across calls): it is valid until the next
-// RestoreInto on the same arena.
-func (t *RestoreTemplate) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem, error) {
-	if a.eco == nil {
-		// Cold path: build the arena graph with the reference deep
-		// clone, then cache the trigger closure for later re-wires.
-		c, err := t.proto.clone(opts.HealthLogOut)
-		if err != nil {
-			return nil, fmt.Errorf("core: template restore: %w", err)
-		}
-		seatAmbient(c, opts)
-		a.eco = c
-		a.trigger = c.Stress.TriggerHandler()
-		return c, nil
+// NewRestoreArena returns an arena holding a zero-valued ecosystem
+// graph; the first RestoreInto fills it.
+func NewRestoreArena() *RestoreArena {
+	e := &Ecosystem{
+		Clock:      &telemetry.Clock{},
+		Machine:    &cpu.Machine{},
+		Mem:        &dram.MemorySystem{},
+		Health:     &healthlog.Daemon{},
+		Stress:     &stresslog.Daemon{},
+		Model:      &predictor.Model{},
+		Hypervisor: &hypervisor.Hypervisor{},
+		src:        &rng.Source{},
+		cpuTherm:   &thermal.Node{},
+		memTherm:   &thermal.Node{},
+		dramHits:   make(map[string]int),
 	}
+	e.coreOf = func(string) int { return e.curCore }
+	return &RestoreArena{eco: e, trigger: e.Stress.TriggerHandler()}
+}
 
+// RestoreInto materializes an independent ecosystem from the image
+// into the arena — the only way characterized state becomes a running
+// ecosystem. The returned ecosystem IS the arena's (reused across
+// calls): it is valid until the next RestoreInto on the same arena.
+// Images are valid by construction or validated on decode, so stamping
+// cannot fail; the error result is kept for callers written against
+// fallible restores.
+func (s *Snapshot) RestoreInto(a *RestoreArena, opts RestoreOptions) (*Ecosystem, error) {
 	c := a.eco
-	c.opts = t.proto.opts
+	c.opts = s.Opts
 	c.opts.HealthLogOut = opts.HealthLogOut
 
-	c.Clock.Reset(t.origin)
-	c.Machine.StampFrom(t.proto.Machine)
-	t.flatMem.StampInto(c.Mem)
-	t.health.StampInto(c.Health, c.Clock, opts.HealthLogOut)
+	c.Clock.Reset(s.Clock)
+	c.Machine.Stamp(s.Opts.Part, &s.Chip, s.MachineStream)
+	s.Mem.StampInto(c.Mem)
+	s.Health.StampInto(c.Health, c.Clock, opts.HealthLogOut)
 	c.Health.RewireStressTrigger(a.trigger)
-	t.stressd.StampInto(c.Stress, c.Clock, c.Machine, c.Mem, c.Health)
-	if err := c.Hypervisor.StampFrom(t.proto.Hypervisor, c.Mem); err != nil {
-		return nil, fmt.Errorf("core: template restore: %w", err)
-	}
+	refresh := refreshModel(s.Opts)
+	s.Stress.StampInto(c.Stress, c.Clock, c.Machine, c.Mem, c.Health, refresh)
+	s.Hyp.StampInto(c.Hypervisor, c.Mem)
 
-	*c.src = *t.proto.src
-	*c.Model = *t.proto.Model
-	c.power = t.proto.power
-	c.refresh = t.proto.refresh
-	c.mode = t.proto.mode
-	c.weakGrowthPerDay = t.proto.weakGrowthPerDay
-	c.trip = t.proto.trip
-	c.worstComp = t.proto.worstComp
-	c.worstMargin = t.proto.worstMargin
-	c.windowsRun = t.proto.windowsRun
-	c.atEpochBoundary = t.proto.atEpochBoundary
+	*c.src = *rng.FromState(s.Src)
+	*c.Model = s.Model
+	// The power, refresh and trip models are constants of the spec:
+	// re-derived as New derives them, never carried in the image.
+	c.power = power.DefaultCPUModel()
+	c.refresh = refresh
+	c.trip = thermal.DefaultTrip()
+	c.mode = s.Mode
+	c.weakGrowthPerDay = s.WeakGrowthPerDay
+	c.worstComp = s.WorstComp
+	c.worstMargin = s.WorstMargin
+	c.windowsRun = s.WindowsRun
+	c.atEpochBoundary = s.AtEpochBoundary
 
-	if t.proto.table == nil {
+	if s.Table == nil {
 		c.table = nil
 	} else {
 		if c.table == nil {
 			c.table = vfr.NewEOPTable()
 		}
-		c.table.CopyFrom(t.proto.table)
+		c.table.CopyFrom(s.Table)
 	}
-	if t.proto.advisor == nil {
+	if !s.HasAdvisor {
 		c.advisor = nil
 	} else {
 		if c.advisor == nil {
 			c.advisor = &predictor.Advisor{}
 		}
-		*c.advisor = *t.proto.advisor
+		*c.advisor = s.Advisor
 		c.advisor.Model = c.Model
 		c.advisor.Table = c.table
 	}
 
-	c.coreNames = append(c.coreNames[:0], t.coreNames...)
+	c.coreNames = append(c.coreNames[:0], s.coreNames...)
 	clear(c.dramHits)
-	// c.coreOf was created by the cold path's clone and captures the
-	// (stable) arena ecosystem; c.curCore and c.dramSrc are per-window
-	// scratch, always written before read.
+	// c.coreOf captures the (stable) arena ecosystem; c.curCore and
+	// c.dramSrc are per-window scratch, always written before read.
 
-	seatAmbient(c, opts)
-	return c, nil
-}
-
-// seatAmbient applies RestoreOptions' thermal re-seat with exactly
-// Restore's semantics, writing through the existing thermal nodes so
-// arena stamps keep their pointers.
-func seatAmbient(c *Ecosystem, opts RestoreOptions) {
 	ambCPU, ambDIMM := opts.AmbientCPUC, opts.AmbientDIMMC
 	if ambCPU == 0 {
 		ambCPU = 28
@@ -162,4 +130,5 @@ func seatAmbient(c *Ecosystem, opts RestoreOptions) {
 	c.opts.AmbientCPUC, c.opts.AmbientDIMMC = ambCPU, ambDIMM
 	*c.cpuTherm = *thermal.CPUNode(ambCPU)
 	*c.memTherm = *thermal.DIMMNode(ambDIMM)
+	return c, nil
 }

@@ -14,12 +14,12 @@ import (
 	"uniserver/internal/workload"
 )
 
-// TestTemplateRestoreEquivalence pins the compiled fast path to the
-// reference implementation: an ecosystem stamped from a compiled
-// template must be indistinguishable — window by window, bit by bit —
-// from one deep-restored by Snapshot.Restore, across ambients, on a
-// cold arena, on a warm arena, and on an arena left dirty by a full
-// deployment of the previous occupant.
+// TestTemplateRestoreEquivalence pins the stamp path to the direct
+// path: an ecosystem stamped from a snapshot image must be
+// indistinguishable — window by window, bit by bit — from one freshly
+// built and characterized at the same ambient, on a cold arena, on a
+// warm arena, and on an arena left dirty by a full deployment of the
+// previous occupant.
 func TestTemplateRestoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -33,28 +33,32 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tmpl := snap.Compile()
 				ropts := RestoreOptions{AmbientCPUC: amb.cpu, AmbientDIMMC: amb.dimm}
 
-				legacy, err := snap.Restore(ropts)
+				fopts := smallOptions(seed)
+				fopts.AmbientCPUC, fopts.AmbientDIMMC = amb.cpu, amb.dimm
+				fresh, err := New(fopts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := deploymentTrace(t, legacy, windows)
+				if _, err := fresh.PreDeployment(); err != nil {
+					t.Fatal(err)
+				}
+				want := deploymentTrace(t, fresh, windows)
 
 				arena := NewRestoreArena()
 				// Cold stamp, warm stamp, dirty re-stamp: each must
-				// reproduce the reference trace exactly. Each trace run
+				// reproduce the fresh trace exactly. Each trace run
 				// leaves the arena ecosystem fully mutated (aged silicon,
 				// spent streams, advanced clock), so every iteration after
 				// the first also proves the stamp overwrites all of it.
 				for pass, label := range []string{"cold", "warm", "dirty"} {
-					stamped, err := tmpl.RestoreInto(arena, ropts)
+					stamped, err := snap.RestoreInto(arena, ropts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := deploymentTrace(t, stamped, windows); got != want {
-						t.Fatalf("pass %d (%s): template restore diverged from legacy restore:\n--- legacy ---\n%s--- template ---\n%s",
+						t.Fatalf("pass %d (%s): stamp diverged from fresh characterization:\n--- fresh ---\n%s--- stamp ---\n%s",
 							pass, label, want, got)
 					}
 				}
@@ -65,18 +69,28 @@ func TestTemplateRestoreEquivalence(t *testing.T) {
 
 // TestTemplateRestoreHealthLogBytes pins the per-node log surface: the
 // JSON-lines health log a stamped ecosystem writes during deployment
-// must be byte-identical to the legacy restore's, since the fleet's
-// golden health logs are fingerprinted from these bytes.
+// must be byte-identical to what its snapshot source writes running
+// the same deployment, since the fleet's golden health logs are
+// fingerprinted from these bytes.
 func TestTemplateRestoreHealthLogBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
 	}
-	eco, _ := readyEcosystem(t, 7)
+	var srcLog, stampLog bytes.Buffer
+	opts := smallOptions(7)
+	opts.HealthLogOut = &srcLog
+	eco, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eco.PreDeployment(); err != nil {
+		t.Fatal(err)
+	}
 	snap, err := eco.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
+	charactLines := srcLog.Len()
 
 	run := func(e *Ecosystem) {
 		t.Helper()
@@ -84,32 +98,28 @@ func TestTemplateRestoreHealthLogBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var legacyLog, stampLog bytes.Buffer
-	legacy, err := snap.Restore(RestoreOptions{HealthLogOut: &legacyLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(legacy)
-
 	arena := NewRestoreArena()
-	if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+	if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 		t.Fatal(err) // cold stamp; the warm stamp below is the path under test
 	}
-	stamped, err := tmpl.RestoreInto(arena, RestoreOptions{HealthLogOut: &stampLog})
+	stamped, err := snap.RestoreInto(arena, RestoreOptions{HealthLogOut: &stampLog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run(stamped)
+	run(eco)
 
-	if !bytes.Equal(legacyLog.Bytes(), stampLog.Bytes()) {
-		t.Fatalf("health-log bytes diverged (legacy %d bytes, template %d bytes)",
-			legacyLog.Len(), stampLog.Len())
+	if want := srcLog.Bytes()[charactLines:]; !bytes.Equal(want, stampLog.Bytes()) {
+		t.Fatalf("health-log bytes diverged (source %d bytes, stamp %d bytes)", len(want), stampLog.Len())
+	}
+	if stampLog.Len() == 0 {
+		t.Fatal("the deployment logged nothing; the comparison proves too little")
 	}
 }
 
 // TestTemplateRestoreReseed pins the archetype path through the
-// template: stamp + Reseed must equal legacy restore + Reseed, stream
-// for stream.
+// image: stamp + Reseed must equal the snapshot source reseeded alike,
+// stream for stream.
 func TestTemplateRestoreReseed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -119,39 +129,33 @@ func TestTemplateRestoreReseed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
 	const seed = 1234
 
-	legacy, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Reseed(seed); err != nil {
-		t.Fatal(err)
-	}
-	want := deploymentTrace(t, legacy, 30)
-
 	arena := NewRestoreArena()
-	if _, err := tmpl.RestoreInto(arena, RestoreOptions{}); err != nil {
+	if _, err := snap.RestoreInto(arena, RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	stamped, err := tmpl.RestoreInto(arena, RestoreOptions{})
+	stamped, err := snap.RestoreInto(arena, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := stamped.Reseed(seed); err != nil {
 		t.Fatal(err)
 	}
-	if got := deploymentTrace(t, stamped, 30); got != want {
-		t.Fatalf("reseeded template restore diverged:\n--- legacy ---\n%s--- template ---\n%s", want, got)
+	got := deploymentTrace(t, stamped, 30)
+	if err := eco.Reseed(seed); err != nil {
+		t.Fatal(err)
+	}
+	if want := deploymentTrace(t, eco, 30); got != want {
+		t.Fatalf("reseeded stamp diverged from the reseeded source:\n--- source ---\n%s--- stamp ---\n%s", want, got)
 	}
 }
 
 // TestTemplateRestoreEpochBoundary pins the lifetime-engine capture
 // window: a snapshot taken on a fast-forward epoch boundary after an
 // in-field re-characterization (the AVATAR growth path: aged silicon,
-// grown VRT state, refreshed margins) must compile and stamp exactly
-// as it deep-restores.
+// grown VRT state, refreshed margins) must stamp an ecosystem that
+// continues exactly as the snapshot source itself does.
 func TestTemplateRestoreEpochBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -176,32 +180,25 @@ func TestTemplateRestoreEpochBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
-
-	legacy, err := snap.Restore(RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := deploymentTrace(t, legacy, 30)
-
 	arena := NewRestoreArena()
 	ropts := RestoreOptions{AmbientCPUC: 33, AmbientDIMMC: 39}
-	if _, err := tmpl.RestoreInto(arena, ropts); err != nil {
+	if _, err := snap.RestoreInto(arena, ropts); err != nil {
 		t.Fatal(err)
 	}
-	stamped, err := tmpl.RestoreInto(arena, ropts)
+	stamped, err := snap.RestoreInto(arena, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := deploymentTrace(t, stamped, 30); got != want {
-		t.Fatalf("epoch-boundary template restore diverged:\n--- legacy ---\n%s--- template ---\n%s", want, got)
+	got := deploymentTrace(t, stamped, 30)
+	if want := deploymentTrace(t, eco, 30); got != want {
+		t.Fatalf("epoch-boundary stamp diverged from its source:\n--- source ---\n%s--- stamp ---\n%s", want, got)
 	}
 }
 
 // TestTemplateRestoreIndependence pins the alias-free property across
 // arenas: running one stamped node to completion (mutating silicon
 // aging, VRT telegraph state, health history, hypervisor counters,
-// stream positions) must leave the template — and nodes stamped from
+// stream positions) must leave the image — and nodes stamped from
 // it afterwards, on the same or other arenas — untouched. The same
 // holds after a node writes through every path that reaches the state
 // stamps share by reference: weak-cell growth across a fast-forward,
@@ -215,12 +212,10 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
-
 	a, b := NewRestoreArena(), NewRestoreArena()
 	stamp := func(ar *RestoreArena) *Ecosystem {
 		t.Helper()
-		e, err := tmpl.RestoreInto(ar, RestoreOptions{})
+		e, err := snap.RestoreInto(ar, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,10 +223,10 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	}
 	traceA := deploymentTrace(t, stamp(a), 30)
 	// b stamps only after a's node fully mutated itself; bleed into the
-	// shared template would show up here.
+	// shared image would show up here.
 	traceB := deploymentTrace(t, stamp(b), 30)
 	if traceA != traceB {
-		t.Fatalf("sibling arena stamps diverged — template state is shared mutable:\n--- first ---\n%s--- second ---\n%s",
+		t.Fatalf("sibling arena stamps diverged — image state is shared mutable:\n--- first ---\n%s--- second ---\n%s",
 			traceA, traceB)
 	}
 	// Re-stamping the dirty arenas must still reproduce the original.
@@ -239,13 +234,9 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 		t.Fatalf("re-stamp after a full deployment diverged:\n--- before ---\n%s--- after ---\n%s",
 			traceA, traceC)
 	}
-	// And the legacy path still sees the pristine snapshot.
-	legacy, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traceL := deploymentTrace(t, legacy, 30); traceL != traceA {
-		t.Fatalf("snapshot mutated by template stamps:\n--- legacy ---\n%s--- stamped ---\n%s",
+	// And a cold stamp on a fresh arena still sees the pristine image.
+	if traceL := deploymentTrace(t, coldRestore(t, snap, RestoreOptions{}), 30); traceL != traceA {
+		t.Fatalf("image mutated by its stamps:\n--- cold stamp ---\n%s--- warm stamps ---\n%s",
 			traceL, traceA)
 	}
 
@@ -262,13 +253,7 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 	}{
 		{"sibling stamp", func() *Ecosystem { return stamp(b) }},
 		{"re-stamp of the aged arena", func() *Ecosystem { return stamp(a) }},
-		{"legacy restore", func() *Ecosystem {
-			e, err := snap.Restore(RestoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
+		{"cold stamp", func() *Ecosystem { return coldRestore(t, snap, RestoreOptions{}) }},
 	} {
 		if got := deploymentTrace(t, tc.eco(), 30); got != traceA {
 			t.Fatalf("%s diverged after a sibling aged its shared state:\n--- before ---\n%s--- after ---\n%s",
@@ -278,10 +263,10 @@ func TestTemplateRestoreIndependence(t *testing.T) {
 }
 
 // TestTemplateRestoreConcurrentAging stamps four nodes from one
-// template on four goroutines and ages every one through the paths
+// image on four goroutines and ages every one through the paths
 // that reach shared state, all at once. Run under -race it proves no
-// stamp writes storage another stamp or the template reads; afterwards
-// a fresh stamp must still reproduce the pristine trace.
+// stamp writes storage another stamp or the image reads; afterwards
+// a fresh stamp must still reproduce the snapshot source's own trace.
 func TestTemplateRestoreConcurrentAging(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
@@ -291,12 +276,7 @@ func TestTemplateRestoreConcurrentAging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := snap.Compile()
-	restored, err := snap.Restore(RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := deploymentTrace(t, restored, 20)
+	want := deploymentTrace(t, eco, 20)
 
 	const goroutines = 4
 	errs := make([]error, goroutines)
@@ -307,7 +287,7 @@ func TestTemplateRestoreConcurrentAging(t *testing.T) {
 			defer wg.Done()
 			arena := NewRestoreArena()
 			for pass := 0; pass < 2; pass++ { // cold, then warm stamp
-				e, err := tmpl.RestoreInto(arena, RestoreOptions{})
+				e, err := snap.RestoreInto(arena, RestoreOptions{})
 				if err == nil {
 					err = ageSharedState(e)
 				}
@@ -322,12 +302,8 @@ func TestTemplateRestoreConcurrentAging(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := tmpl.RestoreInto(NewRestoreArena(), RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := deploymentTrace(t, fresh, 20); got != want {
-		t.Fatalf("concurrently aged stamps leaked into the template:\n--- want ---\n%s--- got ---\n%s", want, got)
+	if got := deploymentTrace(t, coldRestore(t, snap, RestoreOptions{}), 20); got != want {
+		t.Fatalf("concurrently aged stamps leaked into the image:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 }
 
@@ -378,17 +354,17 @@ func sharedStateDigest(e *Ecosystem) string {
 	return b.String()
 }
 
-// TestTemplateRestoreAcrossTemplates pins arena reuse across
-// templates of different parts — what a worker does in a multi-bin
-// archetype fleet: stamps alternating between an i5 and an i7 template
-// on one arena (whose health logs name different components) must each
-// reproduce their own template's legacy-restore trace.
+// TestTemplateRestoreAcrossTemplates pins arena reuse across images
+// of different parts — what a worker does in a multi-bin archetype
+// fleet: stamps alternating between an i5 and an i7 image on one arena
+// (whose health logs name different components) must each reproduce
+// the trace of their own image's snapshot source.
 func TestTemplateRestoreAcrossTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow; skipping in -short")
 	}
 	type bin struct {
-		tmpl *RestoreTemplate
+		snap *Snapshot
 		want string
 	}
 	var bins []bin
@@ -406,20 +382,16 @@ func TestTemplateRestoreAcrossTemplates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := snap.Restore(RestoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bins = append(bins, bin{tmpl: snap.Compile(), want: deploymentTrace(t, legacy, 20)})
+		bins = append(bins, bin{snap: snap, want: deploymentTrace(t, eco, 20)})
 	}
 	arena := NewRestoreArena()
 	for pass, k := range []int{0, 1, 0, 1, 1, 0} {
-		e, err := bins[k].tmpl.RestoreInto(arena, RestoreOptions{})
+		e, err := bins[k].snap.RestoreInto(arena, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := deploymentTrace(t, e, 20); got != bins[k].want {
-			t.Fatalf("pass %d (template %d) diverged from its legacy restore:\n--- want ---\n%s--- got ---\n%s",
+			t.Fatalf("pass %d (image %d) diverged from its source:\n--- want ---\n%s--- got ---\n%s",
 				pass, k, bins[k].want, got)
 		}
 	}

@@ -168,27 +168,26 @@ func NewMachine(spec PartSpec, seed uint64) *Machine {
 	return &Machine{Spec: spec, Chip: chip, src: src}
 }
 
-// Clone returns a deep copy of the machine: the same fabricated die
-// (with its accumulated aging) and the same measurement-stream
-// position, evolving independently of the original from here on.
-func (m *Machine) Clone() *Machine {
-	src := *m.src
-	return &Machine{Spec: m.Spec, Chip: m.Chip.Clone(), src: &src}
+// Stamp overwrites m with one specimen of the part: a copy of chip
+// (with its accumulated aging) and a measurement stream at the given
+// state word, reusing m's chip and stream storage; a zero m is filled.
+// It is how a restore rebuilds the machine of a snapshot image, which
+// holds the chip and StreamState; afterwards m evolves independently
+// of chip.
+func (m *Machine) Stamp(spec PartSpec, chip *silicon.Chip, stream uint64) {
+	m.Spec = spec
+	if m.Chip == nil {
+		m.Chip = &silicon.Chip{}
+	}
+	chip.CopyInto(m.Chip)
+	if m.src == nil {
+		m.src = &rng.Source{}
+	}
+	*m.src = *rng.FromState(stream)
 }
 
-// StampFrom overwrites m with a deep copy of src, reusing m's chip and
-// stream storage. It is the arena form of Clone: m must already have
-// been built by New or Clone (non-nil Chip and stream), and afterwards
-// evolves independently of src exactly as a Clone would.
-func (m *Machine) StampFrom(src *Machine) {
-	m.Spec = src.Spec
-	src.Chip.CopyInto(m.Chip)
-	*m.src = *src.src
-}
-
-// StreamState returns the measurement stream's position — the
-// persistence hook snapshot serialization uses alongside the chip's
-// exported state.
+// StreamState returns the measurement stream's position — what a
+// snapshot image records beside its chip copy.
 func (m *Machine) StreamState() uint64 { return m.src.State() }
 
 // ReseedStream repositions the measurement stream at the given state
@@ -199,14 +198,6 @@ func (m *Machine) StreamState() uint64 { return m.src.State() }
 // pointer (the StressLog daemon included) sees the repositioned
 // stream.
 func (m *Machine) ReseedStream(state uint64) { m.src = rng.FromState(state) }
-
-// RestoreMachine reassembles a machine from serialized parts: the
-// part spec, the fabricated (and possibly aged) chip, and the
-// measurement-stream position StreamState captured. The result runs
-// the exact sweep sequence the source machine would have.
-func RestoreMachine(spec PartSpec, chip *silicon.Chip, stream uint64) *Machine {
-	return &Machine{Spec: spec, Chip: chip, src: rng.FromState(stream)}
-}
 
 // droopMV samples the workload-induced droop for one run.
 func (m *Machine) droopMV(b Benchmark) float64 {

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
 	"uniserver/internal/rng"
@@ -138,8 +137,8 @@ type DIMM struct {
 	// Weak holds every cell whose retention falls below the simulation
 	// horizon; all other cells never fail at the intervals simulated.
 	// The population is immutable once drawn: cells are only ever
-	// appended (Grow), never rewritten, so clones, restore templates
-	// and stamped DIMMs share it by reference. Every shared view is
+	// appended (Grow), never rewritten, so memory images and the DIMMs
+	// stamped from them share it by reference. Every shared view is
 	// cap-limited, which makes a sharer's first Grow append reallocate
 	// instead of writing storage a sibling can see.
 	Weak []WeakCell
@@ -154,7 +153,7 @@ type DIMM struct {
 	// cell: bit i set means Weak[i] currently sits in its
 	// short-retention state. It is the only per-cell state that changes
 	// after fabrication, and the only part of the population every
-	// clone copies.
+	// image and stamp copies.
 	low []uint64
 }
 
@@ -230,19 +229,6 @@ func clampInt(v uint64) int {
 
 // Bits returns the DIMM capacity in bits.
 func (d *DIMM) Bits() uint64 { return d.CapacityBytes * 8 }
-
-// Clone returns an independent copy of the DIMM: it shares the
-// immutable weak-cell population and VRT index by cap-limited
-// reference and copies only the telegraph state bits, so the copy's
-// future VRT toggles, pattern tests and growth leave the original
-// untouched.
-func (d *DIMM) Clone() *DIMM {
-	out := *d
-	out.Weak = shared(d.Weak)
-	out.vrt = shared(d.vrt)
-	out.low = append([]uint64(nil), d.low...)
-	return &out
-}
 
 // Grow appends n freshly-activated weak cells to the DIMM, drawing
 // each exactly like fabrication does (position, retention from the
@@ -387,32 +373,6 @@ func New(cfg Config, model RetentionModel, src *rng.Source) (*MemorySystem, erro
 	return ms, nil
 }
 
-// Clone returns an independent copy of the domain: its DIMMs (see
-// DIMM.Clone) and its current refresh setting.
-func (dom *Domain) Clone() *Domain {
-	out := *dom
-	out.DIMMs = make([]*DIMM, len(dom.DIMMs))
-	for i, d := range dom.DIMMs {
-		out.DIMMs[i] = d.Clone()
-	}
-	return &out
-}
-
-// Clone returns an independent copy of the memory system: every domain
-// and DIMM is duplicated (same order, same refresh intervals, same
-// VRT states) around the shared immutable weak-cell populations, so
-// the copy can be relaxed, tested, heated and grown independently.
-// Allocators bound to the original are rebound with
-// Allocator.CloneFor.
-func (ms *MemorySystem) Clone() *MemorySystem {
-	out := &MemorySystem{Model: ms.Model, TempC: ms.TempC}
-	out.Domains = make([]*Domain, len(ms.Domains))
-	for i, dom := range ms.Domains {
-		out.Domains[i] = dom.Clone()
-	}
-	return out
-}
-
 // ReliableDomain returns the reliable domain.
 func (ms *MemorySystem) ReliableDomain() *Domain {
 	for _, d := range ms.Domains {
@@ -514,76 +474,6 @@ func CoarseToggleProb(windows int) float64 {
 // function of the source stream and the fabricated population.
 func ToggleVRTCoarse(dom *Domain, windows int, src *rng.Source) {
 	toggleVRTWith(dom, CoarseToggleProb(windows), src)
-}
-
-// Reindex rebuilds every DIMM's VRT index from its weak-cell
-// population. Deserialized memory systems call it once after decoding:
-// the index is a pure derivation of the exported cells (the wire
-// format does not carry it), and without it the per-window telegraph
-// toggle would fall back to the full weak-cell scan. Each index is
-// built in fresh storage, never over an index another DIMM may share.
-func (ms *MemorySystem) Reindex() {
-	for _, dom := range ms.Domains {
-		for _, dimm := range dom.DIMMs {
-			var idx []int
-			for i := range dimm.Weak {
-				if dimm.Weak[i].AltRetentionSec > 0 {
-					idx = append(idx, i)
-				}
-			}
-			dimm.vrt = idx
-		}
-	}
-}
-
-// VRTState returns a copy of every DIMM's telegraph state bits, in
-// domain then DIMM order: the wire form of the only per-cell state
-// that changes after fabrication (the weak-cell populations travel as
-// exported fields).
-func (ms *MemorySystem) VRTState() [][]uint64 {
-	var out [][]uint64
-	for _, dom := range ms.Domains {
-		for _, dimm := range dom.DIMMs {
-			bits := make([]uint64, lowWords(len(dimm.Weak)))
-			copy(bits, dimm.low)
-			out = append(out, bits)
-		}
-	}
-	return out
-}
-
-// SetVRTState installs telegraph state bits read back from the wire
-// (VRTState's layout). It validates before installing anything: one
-// bitset per DIMM, each exactly covering its weak cells, with bits set
-// only on VRT cells — a stable cell has no short state to sit in.
-func (ms *MemorySystem) SetVRTState(state [][]uint64) error {
-	var dimms []*DIMM
-	for _, dom := range ms.Domains {
-		dimms = append(dimms, dom.DIMMs...)
-	}
-	if len(state) != len(dimms) {
-		return fmt.Errorf("dram: VRT state for %d DIMMs, memory system has %d", len(state), len(dimms))
-	}
-	for k, dimm := range dimms {
-		b := state[k]
-		if len(b) != lowWords(len(dimm.Weak)) {
-			return fmt.Errorf("dram: DIMM %d VRT state has %d words, want %d for %d weak cells",
-				k, len(b), lowWords(len(dimm.Weak)), len(dimm.Weak))
-		}
-		for w, word := range b {
-			for word != 0 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if i >= len(dimm.Weak) || dimm.Weak[i].AltRetentionSec == 0 {
-					return fmt.Errorf("dram: DIMM %d VRT state sets bit %d, which is not a VRT cell", k, i)
-				}
-			}
-		}
-	}
-	for k, dimm := range dimms {
-		dimm.low = append([]uint64(nil), state[k]...)
-	}
-	return nil
 }
 
 // RunPatternTest writes a random test pattern over the whole domain,

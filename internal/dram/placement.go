@@ -72,45 +72,6 @@ func NewAllocator(ms *MemorySystem) *Allocator {
 	return &Allocator{ms: ms, used: make(map[*Domain]uint64)}
 }
 
-// CloneFor returns a deep copy of the allocator rebound to ms, which
-// must be a Clone of the allocator's own memory system (same domain
-// count in the same order): every allocation and per-domain usage
-// entry is remapped positionally onto ms's domains, and the round-
-// robin cursor carries over, so the copy places future allocations
-// exactly as the original would have.
-func (al *Allocator) CloneFor(ms *MemorySystem) (*Allocator, error) {
-	if len(ms.Domains) != len(al.ms.Domains) {
-		return nil, fmt.Errorf("dram: CloneFor target has %d domains, allocator's system has %d",
-			len(ms.Domains), len(al.ms.Domains))
-	}
-	remap := make(map[*Domain]*Domain, len(al.ms.Domains))
-	for i, d := range al.ms.Domains {
-		remap[d] = ms.Domains[i]
-	}
-	out := &Allocator{
-		ms:          ms,
-		used:        make(map[*Domain]uint64, len(al.used)),
-		nextRelaxed: al.nextRelaxed,
-	}
-	out.allocations = make([]Allocation, len(al.allocations))
-	for i, a := range al.allocations {
-		nd, ok := remap[a.Domain]
-		if !ok {
-			return nil, fmt.Errorf("dram: allocation %q points outside the allocator's memory system", a.Owner)
-		}
-		a.Domain = nd
-		out.allocations[i] = a
-	}
-	for d, b := range al.used {
-		nd, ok := remap[d]
-		if !ok {
-			return nil, errors.New("dram: usage entry points outside the allocator's memory system")
-		}
-		out.used[nd] = b
-	}
-	return out, nil
-}
-
 // ErrOutOfMemory is returned when no domain can host an allocation.
 var ErrOutOfMemory = errors.New("dram: out of memory")
 

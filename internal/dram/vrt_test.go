@@ -179,9 +179,10 @@ func TestToggleVRTCoarseTouchesOnlyVRT(t *testing.T) {
 	}
 }
 
-// TestReindexRebuildsVRTIndex checks a cleared index is rebuilt
-// equivalent to the fabricated one: the indexed fast path and a
-// freshly reindexed system produce identical toggles.
+// TestReindexRebuildsVRTIndex checks that validating an image whose
+// VRT index was dropped (as a gob decode leaves it) rebuilds an index
+// equivalent to the fabricated one: a system stamped from it and the
+// source produce identical toggles.
 func TestReindexRebuildsVRTIndex(t *testing.T) {
 	model := DefaultRetentionModel()
 	ms, err := New(Config{Channels: 2, DIMMsPerChannel: 1, DIMMBytes: 1 << 30, DeviceGb: 2, TempC: 45},
@@ -189,19 +190,26 @@ func TestReindexRebuildsVRTIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := ms.Clone()
-	for _, dom := range ms.Domains {
-		for _, dimm := range dom.DIMMs {
-			dimm.vrt = nil
-		}
+	img := ms.Flatten()
+	for k := range img.DIMMs {
+		img.DIMMs[k].vrt = nil
 	}
-	ms.Reindex()
-	for di, dom := range ms.Domains {
+	if err := img.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := &MemorySystem{}
+	img.StampInto(got)
+	for di, dom := range got.Domains {
+		for _, dimm := range dom.DIMMs {
+			if dimm.vrt == nil && len(dimm.Weak) > 0 {
+				t.Fatal("validated image stamped a DIMM without a VRT index")
+			}
+		}
 		ToggleVRTCoarse(dom, 1440, rng.New(5))
-		ToggleVRTCoarse(ref.Domains[di], 1440, rng.New(5))
+		ToggleVRTCoarse(ms.Domains[di], 1440, rng.New(5))
 		for dj, dimm := range dom.DIMMs {
 			for i := range dimm.Weak {
-				if dimm.LowState(i) != ref.Domains[di].DIMMs[dj].LowState(i) {
+				if dimm.LowState(i) != ms.Domains[di].DIMMs[dj].LowState(i) {
 					t.Fatalf("reindexed toggle diverged at domain %d dimm %d cell %d", di, dj, i)
 				}
 			}

@@ -17,9 +17,10 @@ import (
 // CharactCache memoizes pre-deployment characterization results by
 // (node seed, characterization-relevant NodeSpec): the first consumer
 // of a key pays the full core.New + PreDeployment cost and publishes a
-// core.Snapshot; every later consumer — typically the same node index
-// in another campaign cell — restores an independent deep copy in
-// microseconds instead of re-running the multi-second campaign. This
+// core.Snapshot image; every later consumer — typically the same node
+// index in another campaign cell — stamps an independent ecosystem
+// from it in microseconds instead of re-running the multi-second
+// campaign. This
 // is the biggest campaign-cost multiplier: a scenario×seed grid
 // re-characterized each seed's spec set once per scenario.
 //
@@ -33,7 +34,7 @@ import (
 // the entry publishes, so coalesced waiters are released while the
 // characterizing goroutine is still writing the spill file. Because
 // characterization is a pure function of the key — the excluded spec
-// fields only shape what happens after Restore — results are
+// fields only shape what happens after the restore — results are
 // byte-identical no matter which consumer populates an entry first, at
 // any worker count or campaign parallelism: who computes a key is
 // unobservable in the results.
@@ -66,12 +67,11 @@ type CharactCache struct {
 // happens-before edge). Fields are read-only once done is closed.
 type charactEntry struct {
 	done chan struct{}
+	// snap is the key's characterization image: published once by the
+	// entry's creator before done closes, then shared read-only by
+	// every consumer — the stamp path takes zero lock acquisitions on
+	// shared state.
 	snap *core.Snapshot
-	// tmpl is the snapshot compiled for mass restoration
-	// (core.RestoreTemplate): built once by the entry's creator before
-	// done closes, then shared read-only by every consumer — the stamp
-	// path takes zero lock acquisitions on shared state.
-	tmpl *core.RestoreTemplate
 	pre  core.PreDeploymentReport
 	log  []byte
 	err  error
@@ -83,7 +83,7 @@ func NewCharactCache() *CharactCache {
 }
 
 // CacheStats counts cache outcomes: a miss is a characterization
-// actually run, a hit is a node served from an in-memory snapshot,
+// actually run, a hit is a node served from an in-memory image,
 // and a disk hit is a key's first consumer served from the attached
 // spill directory instead of re-running the campaign. Coalesced is
 // the subset of hits that arrived while the key's characterization
@@ -96,9 +96,9 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Coalesced uint64 `json:"coalesced,omitempty"`
 	DiskHits  uint64 `json:"disk_hits,omitempty"`
-	// Compiled counts restore templates built (one per successfully
-	// characterized entry, whether it came from a fresh run or the
-	// disk spill) — the compile cost amortized across every stamp.
+	// Compiled counts characterization images published (one per
+	// successfully characterized entry, whether it came from a fresh
+	// run or the disk spill) — the cost amortized across every stamp.
 	Compiled uint64 `json:"compiled,omitempty"`
 }
 
@@ -123,7 +123,7 @@ func (c *CharactCache) entry(key string) (*charactEntry, bool) {
 	return v.(*charactEntry), !loaded
 }
 
-// characterized returns the snapshot, characterization report and
+// characterized returns the image, characterization report and
 // captured health-log bytes for key, invoking characterize at most
 // once per key across all goroutines: the entry's creator runs it,
 // duplicate concurrent arrivals coalesce onto the in-flight run, and
@@ -134,7 +134,7 @@ func (c *CharactCache) entry(key string) (*charactEntry, bool) {
 // written, because characterization is deterministic in the key.
 func (c *CharactCache) characterized(key string, wantLog bool,
 	characterize func(out io.Writer) (*core.Ecosystem, core.PreDeploymentReport, error),
-) (*core.Snapshot, *core.RestoreTemplate, core.PreDeploymentReport, []byte, error) {
+) (*core.Snapshot, core.PreDeploymentReport, []byte, error) {
 	e, creator := c.entry(key)
 	if !creator {
 		// Served from the cache. Distinguish a completed entry (plain
@@ -148,7 +148,7 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 			<-e.done
 		}
 		c.hits.Add(1)
-		return e.snap, e.tmpl, e.pre, e.log, e.err
+		return e.snap, e.pre, e.log, e.err
 	}
 
 	// This goroutine owns the key's one characterization. The attached
@@ -182,17 +182,15 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 		}
 		e.err = err
 	}
-	// Compile the restore template before publishing: the close below
-	// is the happens-before edge that makes e.tmpl visible to every
-	// waiter, after which stamping is lock-free and shared read-only.
-	if e.err == nil && e.snap != nil {
-		e.tmpl = e.snap.Compile()
+	if e.err == nil {
 		c.compiled.Add(1)
 	}
 	// Publish before spilling: closing done releases every coalesced
-	// waiter, so the disk write below happens outside the key's
-	// critical section — waiters restore snapshots while the creator
-	// is still persisting the entry.
+	// waiter — the close is the happens-before edge that makes e.snap
+	// visible, after which stamping is lock-free and shared read-only —
+	// so the disk write below happens outside the key's critical
+	// section: waiters stamp the image while the creator is still
+	// persisting the entry.
 	close(e.done)
 	if fromDisk {
 		c.diskHits.Add(1)
@@ -202,7 +200,7 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 			c.spillDisk(key, e.snap, e.pre, e.log)
 		}
 	}
-	return e.snap, e.tmpl, e.pre, e.log, e.err
+	return e.snap, e.pre, e.log, e.err
 }
 
 // ArchetypeBin canonically renders the characterization identity of a
@@ -211,9 +209,9 @@ func (c *CharactCache) characterized(key string, wantLog bool,
 // (whose initial temperature the retention pattern tests consult) —
 // and nothing else. Mode, risk target, workload, schedulable memory
 // and the ambient temperatures are deliberately excluded: they only
-// shape the deployment that runs after Restore (mode entry re-derives
-// the operating point from the restored table, and Restore re-seats
-// the thermal nodes), so specs differing only in those
+// shape the deployment that runs after the restore (mode entry
+// re-derives the operating point from the restored table, and the
+// restore re-seats the thermal nodes), so specs differing only in those
 // deployment-phase fields land in the same bin. A zero Part is
 // canonicalized to the part DefaultOptions resolves it to, so
 // explicit-default and implicit-default specs collide.

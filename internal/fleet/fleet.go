@@ -120,8 +120,8 @@ type Config struct {
 
 	// Charact, when set, memoizes pre-deployment characterization by
 	// (seed, characterization-relevant spec): nodes whose key is
-	// already cached restore a deep ecosystem snapshot instead of
-	// re-running the stress/fault-injection/training campaign. Results
+	// already cached are stamped from the key's characterization
+	// image instead of re-running the stress/fault-injection/training campaign. Results
 	// are byte-identical either way (pinned by the preset golden
 	// tests); only wall-clock changes. Share one cache across the runs
 	// of a campaign. Without Archetypes, node seeds within a single
@@ -598,15 +598,11 @@ func (s *nodeState) characterize(spec NodeSpec, wantLog bool) (*core.Ecosystem, 
 }
 
 // restoreFrom materializes this node's ecosystem from a cached
-// characterization: replay the captured log bytes (when logging),
-// rebind the log writer and re-seat the ambient. With a compiled
-// template and a worker arena it takes the stamp path
-// (RestoreTemplate.RestoreInto — bulk copies into reused storage, no
-// shared locks); the legacy deep restore remains the reference
-// implementation, used when either is absent and pinned byte-for-byte
-// against the template path by the core equivalence tests.
-func (s *nodeState) restoreFrom(snap *core.Snapshot, tmpl *core.RestoreTemplate,
-	arena *core.RestoreArena, spec NodeSpec, logBytes []byte, wantLog bool) (*core.Ecosystem, error) {
+// characterization: replay the captured log bytes (when logging), then
+// stamp the image into the worker's arena with the node's log writer
+// and ambient.
+func (s *nodeState) restoreFrom(snap *core.Snapshot, arena *core.RestoreArena,
+	spec NodeSpec, logBytes []byte, wantLog bool) (*core.Ecosystem, error) {
 	ropts := core.RestoreOptions{
 		AmbientCPUC:  spec.AmbientCPUC,
 		AmbientDIMMC: spec.AmbientDIMMC,
@@ -615,28 +611,26 @@ func (s *nodeState) restoreFrom(snap *core.Snapshot, tmpl *core.RestoreTemplate,
 		s.log.Write(logBytes)
 		ropts.HealthLogOut = &s.log
 	}
-	if tmpl != nil && arena != nil {
-		return tmpl.RestoreInto(arena, ropts)
-	}
-	return snap.Restore(ropts)
+	return snap.RestoreInto(arena, ropts)
 }
 
 // characterizeCached is the snapshot path: the cache runs the direct
 // characterization at most once per (seed, spec) key — logging into a
 // cache-owned buffer — and every consumer, the characterizing node
-// included, replays the captured log bytes and restores an independent
-// deep copy. Routing the first consumer through Restore too keeps the
-// two paths' outputs pinned to each other: any restore imperfection
+// included, replays the captured log bytes and stamps an independent
+// ecosystem from the image. Routing the first consumer through the
+// stamp too keeps the two paths' outputs pinned to each other: any
+// restore imperfection
 // shows up as a fingerprint divergence against the direct path's
 // goldens instead of hiding behind a warm cache.
 func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreArena,
 	spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
-	snap, tmpl, pre, logBytes, err := cache.characterized(charactKey(s.seed, spec, wantLog), wantLog,
+	snap, pre, logBytes, err := cache.characterized(charactKey(s.seed, spec, wantLog), wantLog,
 		charactBuilder(spec, s.seed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
-	eco, err := s.restoreFrom(snap, tmpl, arena, spec, logBytes, wantLog)
+	eco, err := s.restoreFrom(snap, arena, spec, logBytes, wantLog)
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
@@ -653,12 +647,12 @@ func (s *nodeState) characterizeCached(cache *CharactCache, arena *core.RestoreA
 func (s *nodeState) characterizeArchetype(cache *CharactCache, arena *core.RestoreArena, keys archetypeKeys,
 	fleetSeed uint64, spec NodeSpec, wantLog bool) (*core.Ecosystem, core.PreDeploymentReport, error) {
 	bin := keys.resolve(fleetSeed, spec, wantLog)
-	snap, tmpl, pre, logBytes, err := cache.characterized(bin.key, wantLog,
+	snap, pre, logBytes, err := cache.characterized(bin.key, wantLog,
 		charactBuilder(spec, bin.seed))
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}
-	eco, err := s.restoreFrom(snap, tmpl, arena, spec, logBytes, wantLog)
+	eco, err := s.restoreFrom(snap, arena, spec, logBytes, wantLog)
 	if err != nil {
 		return nil, core.PreDeploymentReport{}, err
 	}

@@ -53,7 +53,7 @@ func TestCharactCacheCoalescing(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					snap, _, _, _, err := cache.characterized(key, false, characterize)
+					snap, _, _, err := cache.characterized(key, false, characterize)
 					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
@@ -115,7 +115,7 @@ func TestCharactCacheDistinctKeysParallel(t *testing.T) {
 						}
 						return inner(out)
 					}
-					if _, _, _, _, err := cache.characterized(charactKey(seed, spec, false), false, characterize); err != nil {
+					if _, _, _, err := cache.characterized(charactKey(seed, spec, false), false, characterize); err != nil {
 						t.Errorf("key %d: %v", g, err)
 					}
 				}()

@@ -88,7 +88,7 @@ type Daemon struct {
 	sensorSlab []telemetry.Reading
 	errorSlab  []telemetry.ErrorEvent
 	// spare holds component histories a stamp swept out (their names
-	// belong to another template), kept with their vector storage for
+	// belong to another image), kept with their vector storage for
 	// the next stamp's new names: an arena alternating between archetype
 	// bins whose parts name components differently would otherwise
 	// regrow every history on every stamp. Unused on live daemons.
@@ -148,44 +148,6 @@ func (d *Daemon) OnStressTrigger(f func(TriggerReason)) {
 	defer d.mu.Unlock()
 	// Copy-on-write, as for Subscribe.
 	d.onTrigger = append(append([]func(TriggerReason){}, d.onTrigger...), f)
-}
-
-// Clone returns a deep copy of the daemon's recorded state — retained
-// vectors (with their sensor and error slices duplicated), rolling
-// window bookkeeping and activity counters — timestamping with clock
-// and writing future log lines to out. Listeners and stress-trigger
-// callbacks are deliberately NOT copied: they are closures over the
-// original ecosystem's daemons, and the caller must re-subscribe the
-// clone's own consumers (core's snapshot restore re-wires the
-// StressLog trigger exactly as New does).
-func (d *Daemon) Clone(clock *telemetry.Clock, out io.Writer) *Daemon {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := &Daemon{
-		cfg:      d.cfg,
-		clock:    clock,
-		out:      out,
-		byComp:   make(map[string]*compHistory, len(d.byComp)),
-		recorded: d.recorded,
-		crashes:  d.crashes,
-		writeErr: d.writeErr,
-	}
-	for name, h := range d.byComp {
-		nh := &compHistory{
-			vecs:     make([]telemetry.InfoVector, len(h.vecs)),
-			winStart: h.winStart,
-			winErrs:  h.winErrs,
-			lastTime: h.lastTime,
-			dirty:    h.dirty,
-		}
-		for i, v := range h.vecs {
-			v.Sensors = append([]telemetry.Reading(nil), v.Sensors...)
-			v.Errors = append([]telemetry.ErrorEvent(nil), v.Errors...)
-			nh.vecs[i] = v
-		}
-		c.byComp[name] = nh
-	}
-	return c
 }
 
 // Record ingests one information vector: stamps it with the daemon

@@ -168,46 +168,6 @@ func New(cfg Config, objects *ObjectMap, mem *dram.MemorySystem) (*Hypervisor, e
 	return h, nil
 }
 
-// Clone returns a deep copy of the hypervisor rebound to mem, which
-// must be a dram Clone of the hypervisor's own memory system: the
-// object inventory (protection labels included), guest set, vCPU
-// pinning, memory placements, operating point, isolation state and
-// resilience counters are all duplicated alias-free, so the copy's
-// future error handling and guest churn leave the original untouched.
-func (h *Hypervisor) Clone(mem *dram.MemorySystem) (*Hypervisor, error) {
-	if mem == nil {
-		return nil, errors.New("hypervisor: Clone needs a memory system")
-	}
-	alloc, err := h.alloc.CloneFor(mem)
-	if err != nil {
-		return nil, fmt.Errorf("hypervisor: rebinding allocator: %w", err)
-	}
-	out := &Hypervisor{
-		cfg:           h.cfg,
-		objects:       h.objects.Clone(),
-		mem:           mem,
-		alloc:         alloc,
-		vms:           make(map[string]*VM, len(h.vms)),
-		pins:          h.pins.clone(),
-		point:         h.point,
-		isolatedCores: make(map[int]bool, len(h.isolatedCores)),
-		errorCounts:   make(map[string]int, len(h.errorCounts)),
-		stats:         h.stats,
-		panicked:      h.panicked,
-	}
-	for name, vm := range h.vms {
-		cp := *vm
-		out.vms[name] = &cp
-	}
-	for c, v := range h.isolatedCores {
-		out.isolatedCores[c] = v
-	}
-	for comp, n := range h.errorCounts {
-		out.errorCounts[comp] = n
-	}
-	return out, nil
-}
-
 // staticFootprint is the hypervisor's footprint before any guest runs.
 func (h *Hypervisor) staticFootprint() uint64 {
 	return h.objects.StaticBytes() + h.cfg.BaseOverheadBytes

@@ -100,26 +100,39 @@ func TestObjectMapProtect(t *testing.T) {
 	}
 }
 
-// TestObjectMapSharedCopyOnWrite pins the inventory sharing: clones
-// and arena copies reference one object slice, and relabeling through
-// either Protect form on one holder is invisible to every other.
+// TestObjectMapSharedCopyOnWrite pins the inventory sharing: a
+// hypervisor image and every stamp of it reference the source's one
+// object slice, and relabeling through either Protect form on one
+// holder is invisible to every other — the source, the image and
+// sibling stamps.
 func TestObjectMapSharedCopyOnWrite(t *testing.T) {
 	om := NewObjectMap(DefaultProfiles(), rng.New(5))
-	clone := om.Clone()
-	stamped := &ObjectMap{}
-	stamped.CopyFrom(om)
-	if &clone.Objects[0] != &om.Objects[0] || &stamped.Objects[0] != &om.Objects[0] {
-		t.Fatal("Clone or CopyFrom copied the inventory instead of sharing it")
+	h, err := New(DefaultConfig(), om, testMem(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := h.Image()
+	stamp := func() *ObjectMap {
+		s := &Hypervisor{}
+		img.StampInto(s, h.mem)
+		return s.Objects()
+	}
+	a, b := stamp(), stamp()
+	if &a.Objects[0] != &om.Objects[0] || &b.Objects[0] != &om.Objects[0] {
+		t.Fatal("stamps copied the inventory instead of sharing it")
 	}
 	before := om.ProtectedBytes()
-	if clone.Protect(Categories()...) == 0 || stamped.ProtectObjects([]int{0, 1, 2}) == 0 {
+	if a.Protect(Categories()...) == 0 || b.ProtectObjects([]int{0, 1, 2}) == 0 {
 		t.Fatal("nothing relabeled; the test proves too little")
 	}
 	if om.ProtectedBytes() != before {
-		t.Fatal("relabeling a clone or an arena copy changed the original")
+		t.Fatal("relabeling a stamp changed the source inventory")
 	}
-	if got, want := stamped.ProtectedBytes(), before+uint64(om.Objects[0].Bytes+om.Objects[1].Bytes+om.Objects[2].Bytes); got > want {
-		t.Fatalf("arena copy saw the clone's relabel: %d protected bytes, at most %d", got, want)
+	if got := stamp().ProtectedBytes(); got != before {
+		t.Fatalf("relabeling stamps changed the image: %d protected bytes, want %d", got, before)
+	}
+	if got, want := b.ProtectedBytes(), before+uint64(om.Objects[0].Bytes+om.Objects[1].Bytes+om.Objects[2].Bytes); got > want {
+		t.Fatalf("stamp saw a sibling's relabel: %d protected bytes, at most %d", got, want)
 	}
 }
 

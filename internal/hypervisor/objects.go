@@ -103,9 +103,10 @@ type Object struct {
 // ObjectMap is the hypervisor's statically allocated object inventory.
 type ObjectMap struct {
 	// Objects is the inventory. It is never written in place once
-	// fabricated — Clone and CopyFrom share it by reference, and Protect
-	// and ProtectObjects install a relabeled copy instead — so cloned
-	// hypervisors share one inventory until one of them relabels.
+	// fabricated — hypervisor images and their stamps share it by
+	// reference, and Protect and ProtectObjects install a relabeled
+	// copy instead — so stamped hypervisors share one inventory until
+	// one of them relabels.
 	Objects  []Object
 	profiles map[Category]CategoryProfile
 }
@@ -129,49 +130,6 @@ func NewObjectMap(profiles []CategoryProfile, src *rng.Source) *ObjectMap {
 			})
 			id++
 		}
-	}
-	return om
-}
-
-// Clone returns an independent copy of the inventory, including each
-// object's current Crucial and Protected labels. The object slice is
-// shared (cap-limited): it is copy-on-write, so neither side's later
-// relabeling is visible to the other.
-func (om *ObjectMap) Clone() *ObjectMap {
-	out := &ObjectMap{
-		Objects:  om.Objects[:len(om.Objects):len(om.Objects)],
-		profiles: make(map[Category]CategoryProfile, len(om.profiles)),
-	}
-	for c, p := range om.profiles {
-		out.profiles[c] = p
-	}
-	return out
-}
-
-// Profiles returns the category profiles in category order — the
-// persistence surface ObjectMapFromState reassembles an inventory
-// from.
-func (om *ObjectMap) Profiles() []CategoryProfile {
-	out := make([]CategoryProfile, 0, len(om.profiles))
-	for _, c := range Categories() {
-		if p, ok := om.profiles[c]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ObjectMapFromState reassembles an inventory from serialized parts:
-// the fabricated objects (with their empirically learned Crucial and
-// Protected labels) and the category profiles. Unlike NewObjectMap it
-// fabricates nothing — the object population is taken verbatim.
-func ObjectMapFromState(objects []Object, profiles []CategoryProfile) *ObjectMap {
-	om := &ObjectMap{
-		Objects:  append([]Object(nil), objects...),
-		profiles: make(map[Category]CategoryProfile, len(profiles)),
-	}
-	for _, p := range profiles {
-		om.profiles[p.Category] = p
 	}
 	return om
 }
@@ -222,7 +180,8 @@ func (om *ObjectMap) AccessProb(c Category, loaded bool) float64 {
 
 // Protect marks every object in the given categories as protected and
 // returns the number of objects covered. The labels change in a fresh
-// copy of the inventory (the old one may be shared with clones).
+// copy of the inventory (the old one may be shared with images and
+// their stamps).
 func (om *ObjectMap) Protect(categories ...Category) int {
 	set := make(map[Category]bool, len(categories))
 	for _, c := range categories {

@@ -21,18 +21,6 @@ func newPinner(oversub int) *pinner {
 	return &pinner{oversub: oversub, load: make(map[int]int), byVM: make(map[string][]int)}
 }
 
-// clone returns a deep copy of the pinner.
-func (p *pinner) clone() *pinner {
-	out := newPinner(p.oversub)
-	for c, n := range p.load {
-		out.load[c] = n
-	}
-	for vm, cores := range p.byVM {
-		out.byVM[vm] = append([]int(nil), cores...)
-	}
-	return out
-}
-
 // pick returns the least-loaded usable core, or -1 when every usable
 // core is at the oversubscription cap.
 func (p *pinner) pick(usable []int) int {

@@ -160,7 +160,7 @@ func (s *Source) Exponential(rate float64) float64 {
 // large means it falls back to a normal approximation, which is
 // adequate for the event-count magnitudes used by the simulators.
 func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
+	if !(mean > 0) { // NaN too: the product loop below would never end
 		return 0
 	}
 	if mean > 500 {

@@ -166,8 +166,12 @@ func TestPoissonMean(t *testing.T) {
 }
 
 func TestPoissonZeroMean(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
+	// NaN included: a rate computed from corrupt decoded parameters
+	// must not send the product loop round forever.
+	for _, mean := range []float64{0, math.NaN()} {
+		if got := New(1).Poisson(mean); got != 0 {
+			t.Fatalf("Poisson(%v) = %d, want 0", mean, got)
+		}
 	}
 }
 

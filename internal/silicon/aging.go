@@ -60,23 +60,12 @@ func (c *Chip) Age(model AgingModel, d time.Duration, stress float64) {
 	if stress > 1 {
 		stress = 1
 	}
-	c.stressedHours += d.Hours() * stress
-	c.AgeShiftMV = model.ShiftMV(c.stressedHours)
+	c.StressedHours += d.Hours() * stress
+	c.AgeShiftMV = model.ShiftMV(c.StressedHours)
 }
-
-// StressedHours returns the accumulated stress-time used by the aging
-// model.
-func (c *Chip) StressedHours() float64 { return c.stressedHours }
-
-// SetStressedHours overwrites the accumulated stress-time — the
-// persistence hook snapshot serialization uses to restore a chip's
-// hidden aging state bit for bit. It does not touch AgeShiftMV (the
-// serialized value is restored alongside), so a restored chip resumes
-// the exact power-law trajectory of its source.
-func (c *Chip) SetStressedHours(h float64) { c.stressedHours = h }
 
 // AgingReport summarizes a chip's aging state.
 func (c *Chip) AgingReport() string {
 	return fmt.Sprintf("%s: %.0f stressed hours, Vcrit shift +%.1f mV",
-		c.Model, c.stressedHours, c.AgeShiftMV)
+		c.Model, c.StressedHours, c.AgeShiftMV)
 }

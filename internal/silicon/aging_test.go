@@ -58,7 +58,7 @@ func TestChipAgeRaisesVcrit(t *testing.T) {
 	if c.FMaxMHz(0, 844) > fmaxBefore {
 		t.Fatal("aging should not raise fmax")
 	}
-	if c.StressedHours() <= 0 {
+	if c.StressedHours <= 0 {
 		t.Fatal("stressed hours not accumulated")
 	}
 }
@@ -71,8 +71,8 @@ func TestChipAgeAccumulates(t *testing.T) {
 	if c.AgeShiftMV <= s1 {
 		t.Fatal("second aging period did not accumulate")
 	}
-	if c.StressedHours() != 2000 {
-		t.Fatalf("stressed hours = %v", c.StressedHours())
+	if c.StressedHours != 2000 {
+		t.Fatalf("stressed hours = %v", c.StressedHours)
 	}
 }
 
@@ -87,11 +87,11 @@ func TestChipAgeStressScaling(t *testing.T) {
 	// Clamping.
 	c := agedChip(4)
 	c.Age(DefaultAgingModel(), 100*time.Hour, 5)
-	if c.StressedHours() != 100 {
-		t.Fatalf("stress not clamped to 1: %v", c.StressedHours())
+	if c.StressedHours != 100 {
+		t.Fatalf("stress not clamped to 1: %v", c.StressedHours)
 	}
 	c.Age(DefaultAgingModel(), -time.Hour, 1)
-	if c.StressedHours() != 100 {
+	if c.StressedHours != 100 {
 		t.Fatal("negative duration aged the chip")
 	}
 }
